@@ -329,14 +329,6 @@ impl TrainerState {
             })
             .collect()
     }
-
-    /// The stored snapshots in the plain-report shape.
-    pub(crate) fn plain_snapshots(&self) -> Vec<(usize, Mat)> {
-        self.snapshots
-            .iter()
-            .map(|(e, z, _)| (*e, z.clone()))
-            .collect()
-    }
 }
 
 fn put_omega(w: &mut ByteWriter, o: &Omega) {

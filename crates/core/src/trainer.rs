@@ -1,5 +1,7 @@
 //! The R-trainer: integrates Ξ and Υ into any [`GaeModel`] (the paper's
 //! "R-𝒟" recipe), plus the plain trainer used for the un-modified baselines.
+//! Both are front doors over one private phase driver: the plain model is
+//! the R loop with both operators switched off.
 //!
 //! Training loop (Section 5.1):
 //!
@@ -423,8 +425,34 @@ fn supervised_graph(
     Ok(Rc::new(out.graph))
 }
 
-/// Outcome of a guard recovery decision.
-enum Recovery {
+/// Ω = 𝒱: every node decidable (the state while Ξ is inactive, and always
+/// for plain runs).
+fn full_omega(n: usize) -> Omega {
+    Omega {
+        indices: (0..n).collect(),
+        lambda1: vec![1.0; n],
+        lambda2: vec![0.0; n],
+    }
+}
+
+/// Accuracy restricted to `nodes` (`empty` when there are none).
+fn subset_accuracy(nodes: &[usize], pred: &[usize], truth: &[usize], empty: f64) -> f64 {
+    if nodes.is_empty() {
+        return empty;
+    }
+    let p: Vec<usize> = nodes.iter().map(|&i| pred[i]).collect();
+    let t: Vec<usize> = nodes.iter().map(|&i| truth[i]).collect();
+    accuracy(&p, &t)
+}
+
+/// The guard layer's verdict on one epoch.
+enum Verdict {
+    /// Nothing tripped. `snap` marks a snapshot-cadence epoch; `exported`
+    /// holds the parameters the scan exported on it (reused for saving).
+    Healthy {
+        snap: bool,
+        exported: Option<ModelState>,
+    },
     /// Roll back to this state, apply the retry plan, and re-enter the loop.
     Retry(Box<TrainerState>, RetryPlan),
     /// Retries exhausted (or nothing to restore): finish degraded, on the
@@ -444,6 +472,10 @@ struct GuardDriver<'r> {
     policy: RecoveryPolicy,
     faults: FaultPlan,
     rec: &'r dyn Recorder,
+    /// Checkpoint variant tag of the run (filters rollback candidates).
+    variant: u8,
+    /// `"pretrain"` or `"clustering"`.
+    phase: &'static str,
     /// `nonfinite_grad_steps` baseline; the per-epoch delta is what trips.
     grad_base: u64,
     last_good: Option<TrainerState>,
@@ -457,10 +489,11 @@ impl<'r> GuardDriver<'r> {
         cfg: Option<&GuardConfig>,
         rec: &'r dyn Recorder,
         model: &dyn GaeModel,
-        arm_faults: bool,
+        variant: u8,
+        phase: &'static str,
     ) -> Option<Self> {
         let cfg = cfg?.clone();
-        let specs = if arm_faults {
+        let specs = if phase == "clustering" {
             cfg.faults.clone()
         } else {
             Vec::new()
@@ -470,6 +503,8 @@ impl<'r> GuardDriver<'r> {
             policy: RecoveryPolicy::new(cfg.max_retries, cfg.lr_backoff),
             faults: FaultPlan::new(specs),
             rec,
+            variant,
+            phase,
             grad_base: model.nonfinite_grad_steps(),
             last_good: None,
             cfg,
@@ -478,14 +513,14 @@ impl<'r> GuardDriver<'r> {
 
     /// Fire the fault injections scheduled for `epoch`, logging one event
     /// per fault. Each spec fires at most once — the fired flags live in
-    /// this driver, outside the retry loop, so a rollback past the fault
+    /// this driver, outside the epoch loop, so a rollback past the fault
     /// epoch does not re-inject it.
-    fn faults_due(&mut self, phase: &str, epoch: usize) -> Vec<FaultKind> {
+    fn faults_due(&mut self, epoch: usize) -> Vec<FaultKind> {
         let due = self.faults.take_due(epoch);
         for kind in &due {
             emit_finding(
                 self.rec,
-                phase,
+                self.phase,
                 Some(epoch),
                 &Finding {
                     kind: "fault_injected",
@@ -499,116 +534,80 @@ impl<'r> GuardDriver<'r> {
         due
     }
 
-    /// The per-epoch trip checks: loss health and the skipped-gradient
-    /// delta (both O(1)), plus — on snapshot epochs (`scan`) — the O(model)
-    /// parameter scan. Returns the exported parameter state when the scan
-    /// ran (the caller reuses it for checkpointing) and whether any check
-    /// tripped. Every state that later becomes a rollback target passes
-    /// through the scan first, so a healthy snapshot is never poisoned.
-    fn check_core(
+    /// The per-epoch guard pass. Trip checks: loss health and the
+    /// skipped-gradient delta (both O(1)), plus — on snapshot epochs (the
+    /// configured cadence, or a pending save) — the O(model) parameter scan.
+    /// Every state that later becomes a rollback target passes through the
+    /// scan first, so a healthy snapshot is never poisoned. On a trip, the
+    /// recovery decision.
+    fn check_epoch(
         &mut self,
-        phase: &str,
+        saver: Option<&Saver<'_>>,
         epoch: usize,
         loss: f64,
         model: &dyn GaeModel,
-        scan: bool,
-    ) -> (Option<ModelState>, bool) {
+        save_pending: bool,
+    ) -> Verdict {
+        let snap = save_pending || (epoch + 1).is_multiple_of(self.cfg.snapshot_every.max(1));
         let mut tripped = false;
         if let Some(f) = self.monitor.observe_loss(loss) {
             tripped |= f.is_trip();
-            emit_finding(self.rec, phase, Some(epoch), &f);
+            emit_finding(self.rec, self.phase, Some(epoch), &f);
         }
         let now = model.nonfinite_grad_steps();
         let delta = now.saturating_sub(self.grad_base);
         self.grad_base = now;
         if let Some(f) = self.monitor.observe_grad_skips(delta) {
             tripped |= f.is_trip();
-            emit_finding(self.rec, phase, Some(epoch), &f);
+            emit_finding(self.rec, self.phase, Some(epoch), &f);
         }
-        if !scan {
-            return (None, tripped);
+        let exported = snap.then(|| model.export_params());
+        if let Some(exported) = &exported {
+            let all_finite = !self.cfg.check_params || exported.all_finite();
+            if let Some(f) = self.monitor.observe_param_scan(all_finite) {
+                tripped |= f.is_trip();
+                emit_finding(self.rec, self.phase, Some(epoch), &f);
+            }
         }
-        let exported = model.export_params();
-        let all_finite = !self.cfg.check_params || exported.all_finite();
-        if let Some(f) = self.monitor.observe_param_scan(all_finite) {
-            tripped |= f.is_trip();
-            emit_finding(self.rec, phase, Some(epoch), &f);
+        if tripped {
+            self.recover(saver, epoch)
+        } else {
+            Verdict::Healthy { snap, exported }
         }
-        (Some(exported), tripped)
-    }
-
-    /// Whether this epoch does the O(model) guard work — the parameter scan
-    /// and the rollback-snapshot refresh: the configured cadence, or a
-    /// pending checkpoint save.
-    fn snapshot_due(&self, epoch: usize, due_save: bool) -> bool {
-        due_save || (epoch + 1).is_multiple_of(self.cfg.snapshot_every.max(1))
     }
 
     /// The advisory (warn-level) checks: soft-assignment cluster collapse
     /// and a degenerate |Ω|. Never trip — they only annotate the run log.
-    fn warn_checks(
-        &mut self,
-        phase: &str,
-        epoch: usize,
-        p: Option<&rgae_linalg::Mat>,
-        omega: Option<(usize, usize)>,
-    ) {
-        if let Some(p) = p {
-            if let Some(f) = self.monitor.observe_assignments(p) {
-                emit_finding(self.rec, phase, Some(epoch), &f);
-            }
-        }
-        if let Some((len, n)) = omega {
-            if let Some(f) = self.monitor.observe_omega(len, n) {
-                emit_finding(self.rec, phase, Some(epoch), &f);
-            }
+    fn warn_checks(&mut self, epoch: usize, p: &rgae_linalg::Mat, omega_len: usize, n: usize) {
+        let findings = [
+            self.monitor.observe_assignments(p),
+            self.monitor.observe_omega(omega_len, n),
+        ];
+        for f in findings.iter().flatten() {
+            emit_finding(self.rec, self.phase, Some(epoch), f);
         }
     }
 
-    /// Remember a healthy epoch's state as the in-memory rollback fallback
-    /// (used when no checkpoint store is configured, or when every on-disk
-    /// generation turns out unreadable).
-    fn note_healthy(&mut self, st: TrainerState) {
-        self.last_good = Some(st);
-    }
-
-    fn emit_recovery(
-        &self,
-        action: &str,
-        phase: &str,
-        epoch: usize,
-        attempt: usize,
-        lr_scale: f64,
-        detail: String,
-    ) {
+    fn emit_recovery(&self, action: &str, epoch: usize, attempt: usize, detail: String) {
         if self.rec.enabled() {
             self.rec.record(&Event::Recovery {
                 action: action.into(),
-                phase: phase.into(),
+                phase: self.phase.into(),
                 epoch: Some(epoch),
                 attempt,
-                lr_scale,
+                lr_scale: self.policy.lr_scale(),
                 detail,
             });
         }
     }
 
     /// Decide what to do about a tripped epoch: pick a rollback source (the
-    /// newest readable on-disk generation of the matching phase, else the
-    /// in-memory last-good), consume a retry from the policy, and log the
-    /// decision. The caller restores the returned state and re-enters its
-    /// loop (`Retry`) or finishes on the last-good parameters (`Degrade`).
-    fn recover(
-        &mut self,
-        saver: Option<&Saver<'_>>,
-        variant: u8,
-        clustering: bool,
-        phase: &str,
-        epoch: usize,
-    ) -> Recovery {
+    /// newest readable on-disk generation of this phase, else the in-memory
+    /// last-good), consume a retry from the policy, and log the decision.
+    fn recover(&mut self, saver: Option<&Saver<'_>>, epoch: usize) -> Verdict {
         let from_disk = saver
-            .and_then(|s| s.load_for_rollback(variant))
-            .filter(|st| matches!(st.phase, Phase::Clustering { .. }) == clustering);
+            .and_then(|s| s.load_for_rollback(self.variant))
+            .filter(|st| st.phase.name() == self.phase);
         let source = if from_disk.is_some() {
             "checkpoint"
         } else {
@@ -617,23 +616,19 @@ impl<'r> GuardDriver<'r> {
         let Some(state) = from_disk.or_else(|| self.last_good.clone()) else {
             self.emit_recovery(
                 "degraded",
-                phase,
                 epoch,
                 self.policy.attempts(),
-                self.policy.lr_scale(),
                 "no healthy state to roll back to; finishing on current parameters".to_owned(),
             );
-            return Recovery::Degrade(None);
+            return Verdict::Degrade(None);
         };
         match self.policy.next_retry() {
             Some(plan) => {
                 let resume_at = state.phase.next_epoch().unwrap_or(0);
                 self.emit_recovery(
                     "rollback",
-                    phase,
                     epoch,
                     plan.attempt,
-                    self.policy.lr_scale(),
                     format!(
                         "rolled back to {source} state at {} epoch {resume_at}",
                         state.phase.name()
@@ -641,31 +636,68 @@ impl<'r> GuardDriver<'r> {
                 );
                 self.emit_recovery(
                     "retry",
-                    phase,
                     epoch,
                     plan.attempt,
-                    self.policy.lr_scale(),
                     format!(
                         "retrying from epoch {resume_at}: lr scaled to {:.3e} of base, RNG reseeded",
                         self.policy.lr_scale()
                     ),
                 );
                 self.monitor.reset();
-                Recovery::Retry(Box::new(state), plan)
+                Verdict::Retry(Box::new(state), plan)
             }
             None => {
                 self.emit_recovery(
                     "degraded",
-                    phase,
                     epoch,
                     self.policy.attempts(),
-                    self.policy.lr_scale(),
                     format!("retries exhausted; finishing on last-good {source} state"),
                 );
-                Recovery::Degrade(Some(Box::new(state)))
+                Verdict::Degrade(Some(Box::new(state)))
             }
         }
     }
+}
+
+/// The guard verdict for an epoch; always healthy when guards are off.
+fn guard_verdict(
+    guard: Option<&mut GuardDriver<'_>>,
+    saver: Option<&Saver<'_>>,
+    epoch: usize,
+    loss: f64,
+    model: &dyn GaeModel,
+    save_pending: bool,
+) -> Verdict {
+    match guard {
+        Some(g) => g.check_epoch(saver, epoch, loss, model, save_pending),
+        None => Verdict::Healthy {
+            snap: false,
+            exported: None,
+        },
+    }
+}
+
+/// A healthy epoch's save point: persist `st` when a periodic save is due
+/// (tagged healthy under guards, since the guard scan just vetted it), and
+/// keep it as the guard's in-memory rollback target.
+fn save_point(
+    saver: &mut Option<Saver<'_>>,
+    guard: Option<&mut GuardDriver<'_>>,
+    st: TrainerState,
+    due_save: bool,
+) -> Result<()> {
+    if due_save {
+        if let Some(s) = saver.as_mut() {
+            s.save(&st)?;
+            if guard.is_some() {
+                s.mark_healthy(&st)?;
+            }
+        }
+    }
+    if let Some(g) = guard {
+        g.last_good = Some(st);
+    }
+    Ok(())
 }
 
 /// Log an Ω-degeneracy guard event. Emitted whether or not the guard layer
@@ -682,6 +714,694 @@ fn emit_omega_guard(rec: &dyn Recorder, kind: &str, epoch: usize, detail: &str) 
             threshold: None,
             detail: detail.to_owned(),
         });
+    }
+}
+
+/// Which trainer a [`PhaseDriver`] runs. Plain 𝒟 is the R-𝒟 loop with both
+/// operators off (the paper's drop-in claim, §5.1); the variant decides
+/// only what differs:
+///
+/// - R refreshes Ω (every M₁) and A^self_clus (every M₂) and checks
+///   convergence; plain keeps Ω = 𝒱 and A^self_clus = A for the whole run;
+/// - plain records leave `omega_acc`/`rest_acc` at 0.0;
+/// - plain diagnostics compare against the Ω and Υ graph the R model would
+///   use right now (extra Ξ assignments, so they consume the RNG stream);
+/// - R checkpoints carry Ω and the graphs (A^self_clus, snapshot graphs);
+/// - the checkpoint tag ([`VARIANT_PLAIN`] / [`VARIANT_R`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Variant {
+    Plain,
+    R,
+}
+
+/// The mutable inputs of the clustering loop besides the model and the RNG:
+/// what a checkpoint captures and a resume or rollback restores.
+struct LoopState {
+    omega: Omega,
+    a_self: Rc<Csr>,
+    epochs: Vec<EpochRecord>,
+    snapshots: Vec<(usize, rgae_linalg::Mat, Rc<Csr>)>,
+    converged_at: Option<usize>,
+    pretrain_metrics: Metrics,
+}
+
+/// The one pretrain loop and the one clustering loop behind both trainers:
+/// resume and Done fast-forward, guard seeding, trip/rollback, fault
+/// injection, and the periodic, phase-boundary and end-of-run saves.
+struct PhaseDriver<'c> {
+    cfg: &'c RConfig,
+    rec: &'c dyn Recorder,
+    variant: Variant,
+}
+
+impl PhaseDriver<'_> {
+    fn tag(&self) -> u8 {
+        match self.variant {
+            Variant::Plain => VARIANT_PLAIN,
+            Variant::R => VARIANT_R,
+        }
+    }
+
+    /// The newest readable checkpoint of this variant, when resuming. A
+    /// finished state missing its metrics is unusable and counts as none.
+    fn load_resume(&self, saver: Option<&Saver<'_>>) -> Option<TrainerState> {
+        saver?.load_for_resume(self.tag()).filter(|st| {
+            st.phase != Phase::Done || (st.pretrain_metrics.is_some() && st.final_metrics.is_some())
+        })
+    }
+
+    /// Pretraining (vanilla reconstruction) then head initialisation and the
+    /// phase-boundary save. A mid-pretraining `resumed` state re-enters the
+    /// loop; a later one means pretraining already finished, and is handed
+    /// back untouched for the clustering phase.
+    fn pretrain(
+        &self,
+        model: &mut dyn GaeModel,
+        data: &TrainData,
+        rng: &mut Rng64,
+        saver: &mut Option<Saver<'_>>,
+        resumed: Option<TrainerState>,
+    ) -> Result<Option<TrainerState>> {
+        let mut epoch = match resumed {
+            None => 0,
+            Some(st) => match st.phase {
+                Phase::Pretrain { next_epoch } => {
+                    model.import_params(&st.model)?;
+                    *rng = st.rng();
+                    next_epoch
+                }
+                Phase::Clustering { .. } | Phase::Done => return Ok(Some(st)),
+            },
+        };
+        let total = self.cfg.pretrain_epochs;
+        let spec = StepSpec::pretrain(Rc::clone(&data.adjacency));
+        let mut guard = GuardDriver::new(
+            self.cfg.guard.as_ref(),
+            self.rec,
+            model,
+            self.tag(),
+            "pretrain",
+        );
+        // Phase-entry seed: a trip before the first snapshot-cadence epoch
+        // rolls back to the initial weights instead of degrading.
+        if let Some(g) = guard.as_mut() {
+            g.last_good = Some(TrainerState::new(
+                self.tag(),
+                Phase::Pretrain { next_epoch: epoch },
+                model.export_params(),
+                rng,
+            ));
+        }
+        {
+            let _pretrain = span(self.rec, "pretrain");
+            while epoch < total {
+                let loss = model.train_step(data, &spec, rng)?;
+                let next = epoch + 1;
+                let due_save = saver.as_ref().is_some_and(|s| s.due(next) && next < total);
+                let verdict =
+                    guard_verdict(guard.as_mut(), saver.as_ref(), epoch, loss, model, due_save);
+                let (snap, exported) = match verdict {
+                    Verdict::Healthy { snap, exported } => (snap, exported),
+                    Verdict::Retry(st, plan) => {
+                        model.import_params(&st.model)?;
+                        model.scale_lr(plan.lr_scale);
+                        *rng = st.rng();
+                        rng.reseed_with(plan.reseed_salt);
+                        epoch = st.phase.next_epoch().unwrap_or(0);
+                        continue;
+                    }
+                    Verdict::Degrade(st) => {
+                        // Not terminal for the run: restore the last-good
+                        // weights (when any) and move on to head init —
+                        // the clustering phase may still recover.
+                        if let Some(st) = st {
+                            model.import_params(&st.model)?;
+                            *rng = st.rng();
+                        }
+                        break;
+                    }
+                };
+                if snap || due_save {
+                    let st = TrainerState::new(
+                        self.tag(),
+                        Phase::Pretrain { next_epoch: next },
+                        exported.unwrap_or_else(|| model.export_params()),
+                        rng,
+                    );
+                    save_point(saver, guard.as_mut(), st, due_save)?;
+                }
+                epoch = next;
+            }
+        }
+        {
+            let _init = span(self.rec, "init_head");
+            model.init_clustering(data, rng)?;
+        }
+        // Phase-boundary save: pretraining + head init are the expensive
+        // prefix shared by every resume, so always persist them.
+        if let Some(s) = saver.as_mut() {
+            s.save(&TrainerState::new(
+                self.tag(),
+                Phase::Clustering { next_epoch: 0 },
+                model.export_params(),
+                rng,
+            ))?;
+        }
+        Ok(None)
+    }
+
+    /// The checkpoint view of the clustering loop at `phase`.
+    fn loop_state(
+        &self,
+        phase: Phase,
+        params: ModelState,
+        rng: &Rng64,
+        ls: &LoopState,
+        elapsed_seconds: f64,
+    ) -> TrainerState {
+        let r = self.variant == Variant::R;
+        let mut st = TrainerState::new(self.tag(), phase, params, rng);
+        if r {
+            // A finished run resumes nothing, so its state carries no Ω.
+            st.omega = (phase != Phase::Done).then(|| ls.omega.clone());
+            st.a_self = Some((*ls.a_self).clone());
+        }
+        st.converged_at = ls.converged_at;
+        st.pretrain_metrics = Some(ls.pretrain_metrics);
+        st.epochs = ls.epochs.clone();
+        st.snapshots = ls
+            .snapshots
+            .iter()
+            .map(|(e, z, a)| (*e, z.clone(), r.then(|| (**a).clone())))
+            .collect();
+        st.elapsed_seconds = elapsed_seconds;
+        st
+    }
+
+    /// Restore the model, the RNG and the loop state from a checkpoint.
+    fn restore(
+        &self,
+        model: &mut dyn GaeModel,
+        rng: &mut Rng64,
+        data: &TrainData,
+        st: &TrainerState,
+        ls: &mut LoopState,
+    ) -> Result<()> {
+        model.import_params(&st.model)?;
+        *rng = st.rng();
+        ls.a_self = st
+            .a_self
+            .as_ref()
+            .map_or_else(|| Rc::clone(&data.adjacency), |a| Rc::new(a.clone()));
+        ls.snapshots = st.r_snapshots(&ls.a_self);
+        ls.omega = st
+            .omega
+            .clone()
+            .unwrap_or_else(|| full_omega(data.num_nodes));
+        ls.converged_at = st.converged_at;
+        ls.epochs = st.epochs.clone();
+        Ok(())
+    }
+
+    /// Re-emit stored epoch (and convergence) events, so a resumed run log
+    /// is still complete.
+    fn replay(&self, epochs: &[EpochRecord], converged_at: Option<usize>) {
+        if self.rec.enabled() {
+            for e in epochs {
+                self.rec.record(&Event::Epoch(e.to_event()));
+                self.rec
+                    .gauge("omega_size", Some(e.epoch), e.omega_size as f64);
+            }
+            if let Some(epoch) = converged_at {
+                self.rec.record(&Event::Convergence { epoch });
+            }
+        }
+    }
+
+    fn run_end(&self, summary: RunSummary) {
+        if self.rec.enabled() {
+            self.rec.record(&Event::RunEnd(summary));
+        }
+    }
+
+    /// The clustering phase (pretraining already ran), resuming from a
+    /// mid-clustering `resumed` state or fast-forwarding a finished one.
+    fn clustering(
+        &self,
+        model: &mut dyn GaeModel,
+        graph: &AttributedGraph,
+        data: &TrainData,
+        rng: &mut Rng64,
+        saver: &mut Option<Saver<'_>>,
+        resumed: Option<TrainerState>,
+    ) -> Result<RReport> {
+        let (cfg, rec) = (self.cfg, self.rec);
+        let truth = graph.labels();
+        let n = data.num_nodes;
+        let mut ls = LoopState {
+            omega: full_omega(n),
+            a_self: Rc::clone(&data.adjacency),
+            epochs: Vec::new(),
+            snapshots: Vec::new(),
+            converged_at: None,
+            pretrain_metrics: Metrics::default(),
+        };
+        let mut epoch = 0usize;
+        let mut elapsed_base = 0.0;
+        let mut restored_pretrain_metrics = None;
+        match resumed {
+            Some(st) if st.phase == Phase::Done => {
+                return self.fast_forward(model, data, rng, &st, &mut ls)
+            }
+            Some(st) if matches!(st.phase, Phase::Clustering { .. }) => {
+                self.restore(model, rng, data, &st, &mut ls)?;
+                self.replay(&ls.epochs, ls.converged_at);
+                restored_pretrain_metrics = st.pretrain_metrics;
+                elapsed_base = st.elapsed_seconds;
+                epoch = st.phase.next_epoch().unwrap_or(0);
+            }
+            // A mid-pretraining state belongs to `pretrain`; reaching here
+            // with one means the caller skipped resuming that phase, so the
+            // clustering phase starts fresh.
+            _ => {}
+        }
+
+        // The phase-boundary checkpoint precedes this evaluation, so a
+        // resume from it re-consumes the RNG stream exactly like a fresh
+        // run; mid-clustering checkpoints carry the metrics instead.
+        ls.pretrain_metrics = match restored_pretrain_metrics {
+            Some(m) => m,
+            None => {
+                let _eval = span(rec, "eval");
+                evaluate_traced(model, data, truth, rng, rec)?
+            }
+        };
+
+        let clustering = span(rec, "clustering");
+        let phase_start = std::time::Instant::now();
+        let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, self.tag(), "clustering");
+        let mut degraded = false;
+
+        // Table 7 protection variant: one-shot Υ(A, P, 𝒱) before training.
+        // Mid-clustering resumes restore the transformed graph instead.
+        if self.variant == Variant::R
+            && epoch == 0
+            && cfg.use_upsilon
+            && cfg.fd_mode == FdMode::SingleStepProtection
+        {
+            let _upsilon = span(rec, "upsilon");
+            let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+            let z = model.embed(data);
+            let out = upsilon(&data.adjacency, &p, &z, &ls.omega.indices, &cfg.upsilon)?;
+            rec.count("edges_added", out.added.len() as u64);
+            rec.count("edges_dropped", out.dropped.len() as u64);
+            ls.a_self = Rc::new(out.graph);
+        }
+
+        // Phase-entry seed for the in-memory rollback target, so a trip
+        // before the first snapshot-cadence epoch still has somewhere safe
+        // to land. (Placed after the one-shot Υ above: that transform runs
+        // once per run, so a rollback must not precede it.)
+        if let Some(g) = guard.as_mut() {
+            let params = model.export_params();
+            let phase = Phase::Clustering { next_epoch: epoch };
+            g.last_good = Some(self.loop_state(phase, params, rng, &ls, elapsed_base));
+        }
+
+        while epoch < cfg.max_epochs {
+            if cfg.snapshot_epochs.contains(&epoch) {
+                ls.snapshots
+                    .push((epoch, model.embed(data), Rc::clone(&ls.a_self)));
+            }
+            if self.variant == Variant::R {
+                self.refresh_operators(model, data, rng, epoch, &mut ls)?;
+            }
+
+            // One optimisation step, with any scheduled fault injections.
+            let due_faults = guard
+                .as_mut()
+                .map_or_else(Vec::new, |g| g.faults_due(epoch));
+            let step_t = span(rec, "step");
+            let cluster = match model.cluster_target(data)? {
+                // |Ω| = 0 would make the clustering loss an empty-set
+                // reduction; skip the term this epoch instead.
+                Some(_) if ls.omega.is_empty() => {
+                    emit_omega_guard(
+                        rec,
+                        "empty_omega",
+                        epoch,
+                        "|Omega| = 0: skipping the clustering-loss term this epoch",
+                    );
+                    None
+                }
+                Some(target) => Some(ClusterStep {
+                    target,
+                    omega: (ls.omega.len() < n).then(|| ls.omega.indices.clone()),
+                }),
+                None => None,
+            };
+            let spec = StepSpec {
+                recon_target: Some(Rc::clone(&ls.a_self)),
+                gamma: cfg.gamma,
+                cluster,
+            };
+            let poison = due_faults.contains(&FaultKind::NanGrad);
+            if poison {
+                arm_grad_poison();
+            }
+            let step_result = model.train_step(data, &spec, rng);
+            if poison {
+                disarm_grad_poison();
+            }
+            let mut loss = step_result?;
+            step_t.stop();
+            for kind in &due_faults {
+                match kind {
+                    FaultKind::InfLoss => loss = f64::INFINITY,
+                    FaultKind::NanLoss => loss = f64::NAN,
+                    FaultKind::CorruptCkpt => {
+                        if let Some(s) = saver.as_ref() {
+                            s.corrupt_latest(epoch as u64)?;
+                        }
+                    }
+                    FaultKind::NanGrad => {}
+                }
+            }
+
+            // Trip checks run before any bookkeeping: a tripped epoch
+            // contributes no record, no convergence, and no save.
+            let save_next = saver.as_ref().is_some_and(|s| s.due(epoch + 1));
+            let verdict = guard_verdict(
+                guard.as_mut(),
+                saver.as_ref(),
+                epoch,
+                loss,
+                model,
+                save_next,
+            );
+            let (snap, exported) = match verdict {
+                Verdict::Healthy { snap, exported } => (snap, exported),
+                Verdict::Retry(st, plan) => {
+                    self.restore(model, rng, data, &st, &mut ls)?;
+                    model.scale_lr(plan.lr_scale);
+                    rng.reseed_with(plan.reseed_salt);
+                    epoch = st.phase.next_epoch().unwrap_or(0);
+                    continue;
+                }
+                Verdict::Degrade(st) => {
+                    if let Some(st) = st {
+                        self.restore(model, rng, data, &st, &mut ls)?;
+                    }
+                    degraded = true;
+                    break;
+                }
+            };
+
+            // This epoch ends the run either by convergence (|Ω| ≥ 0.9N,
+            // checked on the Ω that drove the step) or by exhausting the
+            // budget; both force a full evaluation so the last record
+            // always carries metrics regardless of `eval_every`.
+            let converging = self.variant == Variant::R
+                && ls.converged_at.is_none()
+                && epoch >= cfg.min_epochs
+                && ls.omega.coverage(n) >= cfg.convergence;
+            let last_epoch = converging || epoch + 1 == cfg.max_epochs;
+
+            let (record, p) = {
+                let _record = span(rec, "record");
+                self.record_epoch(model, data, truth, epoch, loss, &ls, rng, last_epoch)?
+            };
+            if rec.enabled() {
+                rec.record(&Event::Epoch(record.to_event()));
+                rec.gauge("omega_size", Some(epoch), record.omega_size as f64);
+            }
+            ls.epochs.push(record);
+            if let Some(g) = guard.as_mut() {
+                g.warn_checks(epoch, &p, ls.omega.len(), n);
+            }
+
+            if converging {
+                ls.converged_at = Some(epoch);
+                if rec.enabled() {
+                    rec.record(&Event::Convergence { epoch });
+                }
+            }
+
+            let due_save = !last_epoch && save_next;
+            if snap || due_save {
+                let st = self.loop_state(
+                    Phase::Clustering {
+                        next_epoch: epoch + 1,
+                    },
+                    exported.unwrap_or_else(|| model.export_params()),
+                    rng,
+                    &ls,
+                    elapsed_base + phase_start.elapsed().as_secs_f64(),
+                );
+                save_point(saver, guard.as_mut(), st, due_save)?;
+            }
+
+            if converging {
+                break;
+            }
+            epoch += 1;
+        }
+        let train_seconds = elapsed_base + clustering.stop();
+        // Requested snapshots at or past the end of the run collapse into
+        // one final snapshot labelled with the actual epoch count — on early
+        // convergence that is the convergence epoch + 1, not `max_epochs`.
+        let end_epoch = ls.epochs.last().map_or(0, |e| e.epoch + 1);
+        if cfg.snapshot_epochs.iter().any(|&e| e >= end_epoch)
+            && !ls.snapshots.iter().any(|s| s.0 == end_epoch)
+        {
+            ls.snapshots
+                .push((end_epoch, model.embed(data), Rc::clone(&ls.a_self)));
+        }
+        let final_metrics = {
+            let _eval = span(rec, "eval");
+            evaluate_traced(model, data, truth, rng, rec)?
+        };
+        if rec.enabled() {
+            self.run_end(RunSummary {
+                train_seconds,
+                converged_at: ls.converged_at,
+                epochs_run: ls.epochs.len(),
+                final_acc: final_metrics.acc,
+                final_nmi: final_metrics.nmi,
+                final_ari: final_metrics.ari,
+                degraded,
+            });
+            flush_kernel_stats(rec);
+        }
+        if let Some(s) = saver.as_mut() {
+            let mut st =
+                self.loop_state(Phase::Done, model.export_params(), rng, &ls, train_seconds);
+            st.final_metrics = Some(final_metrics);
+            st.degraded = degraded;
+            s.save(&st)?;
+        }
+        Ok(RReport {
+            pretrain_metrics: ls.pretrain_metrics,
+            final_metrics,
+            converged_at: ls.converged_at,
+            epochs: ls.epochs,
+            train_seconds,
+            final_graph: ls.a_self,
+            snapshots: ls.snapshots,
+            degraded,
+        })
+    }
+
+    /// Fast-forward: the stored run already finished. Rebuild its report and
+    /// replay its events so a resumed log is still complete.
+    fn fast_forward(
+        &self,
+        model: &mut dyn GaeModel,
+        data: &TrainData,
+        rng: &mut Rng64,
+        st: &TrainerState,
+        ls: &mut LoopState,
+    ) -> Result<RReport> {
+        self.restore(model, rng, data, st, ls)?;
+        let (Some(pretrain_metrics), Some(final_metrics)) = (st.pretrain_metrics, st.final_metrics)
+        else {
+            unreachable!("load_resume drops finished states without metrics");
+        };
+        self.replay(&ls.epochs, st.converged_at);
+        self.run_end(RunSummary {
+            train_seconds: st.elapsed_seconds,
+            converged_at: st.converged_at,
+            epochs_run: st.epochs.len(),
+            final_acc: final_metrics.acc,
+            final_nmi: final_metrics.nmi,
+            final_ari: final_metrics.ari,
+            degraded: st.degraded,
+        });
+        Ok(RReport {
+            pretrain_metrics,
+            final_metrics,
+            converged_at: st.converged_at,
+            epochs: std::mem::take(&mut ls.epochs),
+            train_seconds: st.elapsed_seconds,
+            final_graph: Rc::clone(&ls.a_self),
+            snapshots: std::mem::take(&mut ls.snapshots),
+            degraded: st.degraded,
+        })
+    }
+
+    /// Refresh Ω every M₁ epochs (Ω = 𝒱 while Ξ is inactive) and, under
+    /// gradual correction, A^self_clus every M₂ epochs.
+    fn refresh_operators(
+        &self,
+        model: &dyn GaeModel,
+        data: &TrainData,
+        rng: &mut Rng64,
+        epoch: usize,
+        ls: &mut LoopState,
+    ) -> Result<()> {
+        let (cfg, rec) = (self.cfg, self.rec);
+        if epoch.is_multiple_of(cfg.m1) {
+            if cfg.use_xi && epoch >= cfg.delay_xi {
+                let _xi = span(rec, "xi");
+                let p = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
+                let candidate = xi(&p, &cfg.xi)?;
+                if candidate.is_empty() {
+                    emit_omega_guard(
+                        rec,
+                        "degenerate_omega",
+                        epoch,
+                        "Xi returned an empty Omega; keeping the previous one",
+                    );
+                } else {
+                    ls.omega = candidate;
+                }
+            } else {
+                ls.omega = full_omega(data.num_nodes);
+            }
+        }
+        if cfg.use_upsilon
+            && cfg.fd_mode == FdMode::GradualCorrection
+            && epoch.is_multiple_of(cfg.m2)
+        {
+            let _upsilon = span(rec, "upsilon");
+            let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+            let z = model.embed(data);
+            let out = upsilon(&data.adjacency, &p, &z, &ls.omega.indices, &cfg.upsilon)?;
+            rec.count("edges_added", out.added.len() as u64);
+            rec.count("edges_dropped", out.dropped.len() as u64);
+            ls.a_self = Rc::new(out.graph);
+        }
+        Ok(())
+    }
+
+    /// Per-epoch bookkeeping. Also returns the soft assignments `P` it
+    /// computed, so the guard layer can run its cluster-collapse check
+    /// without consuming the RNG stream again.
+    #[allow(clippy::too_many_arguments)]
+    fn record_epoch(
+        &self,
+        model: &dyn GaeModel,
+        data: &TrainData,
+        truth: &[usize],
+        epoch: usize,
+        loss: f64,
+        ls: &LoopState,
+        rng: &mut Rng64,
+        force_eval: bool,
+    ) -> Result<(EpochRecord, rgae_linalg::Mat)> {
+        let (cfg, rec) = (self.cfg, self.rec);
+        let r = self.variant == Variant::R;
+        let (omega, a_self) = (&ls.omega, &ls.a_self);
+
+        let eval_t = span(rec, "eval");
+        let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+        let pred = p.row_argmax();
+        let eval_now = force_eval || epoch.is_multiple_of(cfg.eval_every);
+        let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
+        let (omega_acc, rest_acc) = if r {
+            (
+                subset_accuracy(&omega.indices, &pred, truth, 0.0),
+                subset_accuracy(&omega.complement(data.num_nodes), &pred, truth, 1.0),
+            )
+        } else {
+            (0.0, 0.0)
+        };
+        // The graph scans are O(|E|) and purely diagnostic; skip them on
+        // non-eval epochs, and the diffs while A^self_clus is still A.
+        let (graph_stats, added_links, dropped_links) = if !eval_now {
+            (None, None, None)
+        } else if Rc::ptr_eq(a_self, &data.adjacency) {
+            (
+                Some(GraphStats::compute(a_self, truth)),
+                Some((0, 0)),
+                Some((0, 0)),
+            )
+        } else {
+            let added = edge_diff(&data.adjacency, a_self);
+            let dropped = edge_diff(a_self, &data.adjacency);
+            (
+                Some(GraphStats::compute(a_self, truth)),
+                Some(split_links(&added, truth)),
+                Some(split_links(&dropped, truth)),
+            )
+        };
+        eval_t.stop();
+
+        let (mut fr_r, mut fr_full, mut fd_cur, mut fd_van) = (None, None, None, None);
+        let mut omega_size = omega.len();
+        if cfg.track_diagnostics {
+            let _diag = span(rec, "diagnostics");
+            // A plain run has no Ω of its own: compare against the one Ξ
+            // would select at the plain model's θ right now.
+            let hypothetical;
+            let diag_omega = if r {
+                omega
+            } else {
+                let p_xi = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
+                hypothetical = xi(&p_xi, &cfg.xi)?;
+                omega_size = hypothetical.len();
+                &hypothetical
+            };
+            let z = model.embed(data);
+            if let Some(target) = model.cluster_target(data)? {
+                if !diag_omega.is_empty() {
+                    fr_r = lambda_fr(model, data, &target, Some(&diag_omega.indices), truth, rec)?;
+                }
+                fr_full = lambda_fr(model, data, &target, None, truth, rec)?;
+            }
+            let sup = supervised_graph(data, &z, &p, truth, rec)?;
+            if !diag_omega.is_empty() {
+                // For a plain run: the Υ-transformed graph the R model would
+                // use right now.
+                let current = if r {
+                    Rc::clone(a_self)
+                } else {
+                    let out = upsilon(&data.adjacency, &p, &z, &diag_omega.indices, &cfg.upsilon)?;
+                    Rc::new(out.graph)
+                };
+                fd_cur = Some(lambda_fd(model, data, &current, &sup)?);
+            }
+            fd_van = Some(lambda_fd(model, data, &data.adjacency, &sup)?);
+        }
+
+        Ok((
+            EpochRecord {
+                epoch,
+                loss,
+                metrics,
+                omega_size,
+                omega_acc,
+                rest_acc,
+                graph_stats,
+                added_links,
+                dropped_links,
+                lambda_fr_restricted: fr_r,
+                lambda_fr_full: fr_full,
+                lambda_fd_current: fd_cur,
+                lambda_fd_vanilla: fd_van,
+            },
+            p,
+        ))
     }
 }
 
@@ -733,11 +1453,16 @@ impl<'a> RTrainer<'a> {
         self.rec
     }
 
+    fn driver(&self) -> PhaseDriver<'_> {
+        PhaseDriver {
+            cfg: &self.cfg,
+            rec: self.rec,
+            variant: Variant::R,
+        }
+    }
+
     /// Pretrain only (vanilla reconstruction + head initialisation). Useful
     /// when several variants must share the same pretrained weights.
-    // `mut_range_bound`: the guard rollback updates the loop's start epoch
-    // and re-enters it via `continue 'attempts`, where the bound IS re-read.
-    #[allow(clippy::mut_range_bound)]
     pub fn pretrain(
         &self,
         model: &mut dyn GaeModel,
@@ -745,117 +1470,11 @@ impl<'a> RTrainer<'a> {
         rng: &mut Rng64,
     ) -> Result<()> {
         apply_thread_config(&self.cfg);
+        let driver = self.driver();
         let mut saver = Saver::open(self.ckpt.as_ref(), self.rec)?;
-        let mut start = 0usize;
-        if let Some(s) = saver.as_ref() {
-            if let Some(st) = s.load_for_resume(VARIANT_R) {
-                match st.phase {
-                    Phase::Pretrain { next_epoch } => {
-                        model.import_params(&st.model)?;
-                        *rng = st.rng();
-                        start = next_epoch;
-                    }
-                    // Pretraining (and head init) already finished; the
-                    // clustering phase restores itself from the same store.
-                    Phase::Clustering { .. } | Phase::Done => return Ok(()),
-                }
-            }
-        }
-        let spec = StepSpec::pretrain(Rc::clone(&data.adjacency));
-        let mut guard = GuardDriver::new(self.cfg.guard.as_ref(), self.rec, model, false);
-        // Phase-entry seed: a trip before the first snapshot-cadence epoch
-        // rolls back to the initial weights instead of degrading.
-        if let Some(g) = guard.as_mut() {
-            g.note_healthy(TrainerState::new(
-                VARIANT_R,
-                Phase::Pretrain { next_epoch: start },
-                model.export_params(),
-                rng,
-            ));
-        }
-        {
-            let _pretrain = span(self.rec, "pretrain");
-            'attempts: loop {
-                for epoch in start..self.cfg.pretrain_epochs {
-                    let loss = model.train_step(data, &spec, rng)?;
-                    let mut exported: Option<ModelState> = None;
-                    let mut snap = false;
-                    if let Some(g) = guard.as_mut() {
-                        let next = epoch + 1;
-                        snap = g.snapshot_due(
-                            epoch,
-                            saver
-                                .as_ref()
-                                .is_some_and(|s| s.due(next) && next < self.cfg.pretrain_epochs),
-                        );
-                        let (state, tripped) = g.check_core("pretrain", epoch, loss, model, snap);
-                        exported = state;
-                        if tripped {
-                            match g.recover(saver.as_ref(), VARIANT_R, false, "pretrain", epoch) {
-                                Recovery::Retry(st, plan) => {
-                                    model.import_params(&st.model)?;
-                                    model.scale_lr(plan.lr_scale);
-                                    *rng = st.rng();
-                                    rng.reseed_with(plan.reseed_salt);
-                                    start = st.phase.next_epoch().unwrap_or(0);
-                                    continue 'attempts;
-                                }
-                                Recovery::Degrade(st) => {
-                                    // Pretrain degradation is not terminal for
-                                    // the run: restore the last-good weights
-                                    // (when any) and proceed to head init —
-                                    // the clustering phase may still recover.
-                                    if let Some(st) = st {
-                                        model.import_params(&st.model)?;
-                                        *rng = st.rng();
-                                    }
-                                    break 'attempts;
-                                }
-                            }
-                        }
-                    }
-                    let next = epoch + 1;
-                    let due_save = saver
-                        .as_ref()
-                        .is_some_and(|s| s.due(next) && next < self.cfg.pretrain_epochs);
-                    if snap || due_save {
-                        let st = TrainerState::new(
-                            VARIANT_R,
-                            Phase::Pretrain { next_epoch: next },
-                            exported.take().unwrap_or_else(|| model.export_params()),
-                            rng,
-                        );
-                        if due_save {
-                            if let Some(s) = saver.as_mut() {
-                                s.save(&st)?;
-                                if guard.is_some() {
-                                    s.mark_healthy(&st)?;
-                                }
-                            }
-                        }
-                        if let Some(g) = guard.as_mut() {
-                            g.note_healthy(st);
-                        }
-                    }
-                }
-                break 'attempts;
-            }
-        }
-        {
-            let _init = span(self.rec, "init_head");
-            model.init_clustering(data, rng)?;
-        }
-        // Phase-boundary save: pretraining + head init are the expensive
-        // prefix shared by every resume, so always persist them.
-        if let Some(s) = saver.as_mut() {
-            let st = TrainerState::new(
-                VARIANT_R,
-                Phase::Clustering { next_epoch: 0 },
-                model.export_params(),
-                rng,
-            );
-            s.save(&st)?;
-        }
+        let resumed = driver.load_resume(saver.as_ref());
+        // A later-phase state restores itself in the clustering phase.
+        driver.pretrain(model, data, rng, &mut saver, resumed)?;
         Ok(())
     }
 
@@ -872,9 +1491,6 @@ impl<'a> RTrainer<'a> {
     }
 
     /// The clustering phase alone (assumes pretraining already ran).
-    // `mut_range_bound`: the guard rollback updates the loop's start epoch
-    // and re-enters it via `continue 'attempts`, where the bound IS re-read.
-    #[allow(clippy::too_many_lines, clippy::mut_range_bound)]
     pub fn train_clustering_phase(
         &self,
         model: &mut dyn GaeModel,
@@ -882,531 +1498,15 @@ impl<'a> RTrainer<'a> {
         data: &TrainData,
         rng: &mut Rng64,
     ) -> Result<RReport> {
-        let cfg = &self.cfg;
-        let rec = self.rec;
-        apply_thread_config(cfg);
-        if rec.enabled() {
-            // Scope the kernel timing table to this run.
+        apply_thread_config(&self.cfg);
+        if self.rec.enabled() {
+            // Scope the kernel timing table to this phase.
             let _ = rgae_par::take_kernel_stats();
         }
-        let truth = graph.labels();
-        let n = data.num_nodes;
-        let all_nodes: Vec<usize> = (0..n).collect();
-
-        let mut saver = Saver::open(self.ckpt.as_ref(), rec)?;
-        let mut resumed = saver.as_ref().and_then(|s| s.load_for_resume(VARIANT_R));
-        if resumed
-            .as_ref()
-            .is_some_and(|st| matches!(st.phase, Phase::Pretrain { .. }))
-        {
-            // Mid-pretraining state belongs to `pretrain`; reaching here
-            // without it means the caller chose to skip resuming that phase,
-            // so the clustering phase starts fresh.
-            resumed = None;
-        }
-
-        // Fast-forward: the stored run already finished. Rebuild its report
-        // and replay its events so a resumed log is still complete.
-        if resumed.as_ref().is_some_and(|st| st.phase == Phase::Done) {
-            let st = resumed.take().unwrap();
-            if let (Some(pm), Some(fm)) = (st.pretrain_metrics, st.final_metrics) {
-                model.import_params(&st.model)?;
-                *rng = st.rng();
-                let final_graph = st
-                    .a_self
-                    .as_ref()
-                    .map_or_else(|| Rc::clone(&data.adjacency), |a| Rc::new(a.clone()));
-                let snapshots = st.r_snapshots(&final_graph);
-                if rec.enabled() {
-                    for e in &st.epochs {
-                        rec.record(&Event::Epoch(e.to_event()));
-                        rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-                    }
-                    if let Some(epoch) = st.converged_at {
-                        rec.record(&Event::Convergence { epoch });
-                    }
-                    rec.record(&Event::RunEnd(RunSummary {
-                        train_seconds: st.elapsed_seconds,
-                        converged_at: st.converged_at,
-                        epochs_run: st.epochs.len(),
-                        final_acc: fm.acc,
-                        final_nmi: fm.nmi,
-                        final_ari: fm.ari,
-                        degraded: st.degraded,
-                    }));
-                }
-                return Ok(RReport {
-                    pretrain_metrics: pm,
-                    final_metrics: fm,
-                    converged_at: st.converged_at,
-                    epochs: st.epochs,
-                    train_seconds: st.elapsed_seconds,
-                    final_graph,
-                    snapshots,
-                    degraded: st.degraded,
-                });
-            }
-            // A finished state missing its metrics is unusable: run fresh.
-        }
-
-        let mut a_self: Rc<Csr> = Rc::clone(&data.adjacency);
-        let mut omega = Omega {
-            indices: all_nodes.clone(),
-            lambda1: vec![1.0; n],
-            lambda2: vec![0.0; n],
-        };
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut snapshots: Vec<(usize, rgae_linalg::Mat, Rc<Csr>)> = Vec::new();
-        let mut converged_at = None;
-        let mut start_epoch = 0usize;
-        let mut elapsed_base = 0.0;
-        let mut restored_pretrain_metrics: Option<Metrics> = None;
-
-        if let Some(st) = resumed {
-            // Mid-clustering resume: restore every mutable input of the loop
-            // at the saved epoch boundary, then replay the stored epoch
-            // events (a fresh run log starts empty).
-            model.import_params(&st.model)?;
-            *rng = st.rng();
-            if let Some(a) = st.a_self.clone() {
-                a_self = Rc::new(a);
-            }
-            snapshots = st.r_snapshots(&a_self);
-            if let Some(o) = st.omega {
-                omega = o;
-            }
-            converged_at = st.converged_at;
-            restored_pretrain_metrics = st.pretrain_metrics;
-            elapsed_base = st.elapsed_seconds;
-            if rec.enabled() {
-                for e in &st.epochs {
-                    rec.record(&Event::Epoch(e.to_event()));
-                    rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-                }
-            }
-            epochs = st.epochs;
-            start_epoch = st.phase.next_epoch().unwrap_or(0);
-        }
-
-        // The phase-boundary checkpoint precedes this evaluation, so a
-        // resume from it re-consumes the RNG stream exactly like a fresh
-        // run; mid-clustering checkpoints carry the metrics instead.
-        let pretrain_metrics = match restored_pretrain_metrics {
-            Some(m) => m,
-            None => {
-                let _eval = span(rec, "eval");
-                evaluate_traced(model, data, truth, rng, rec)?
-            }
-        };
-
-        let clustering = span(rec, "clustering");
-        let phase_start = std::time::Instant::now();
-        let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, true);
-        let mut degraded = false;
-
-        // Table 7 protection variant: one-shot Υ(A, P, 𝒱) before training.
-        // Mid-clustering resumes restore the transformed graph instead.
-        if start_epoch == 0 && cfg.use_upsilon && cfg.fd_mode == FdMode::SingleStepProtection {
-            let _upsilon = span(rec, "upsilon");
-            let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
-            let z = model.embed(data);
-            let out = upsilon(&data.adjacency, &p, &z, &all_nodes, &cfg.upsilon)?;
-            rec.count("edges_added", out.added.len() as u64);
-            rec.count("edges_dropped", out.dropped.len() as u64);
-            a_self = Rc::new(out.graph);
-        }
-
-        // Seed the in-memory rollback target with the phase-entry state so
-        // a guard tripped before the first snapshot-cadence epoch still has
-        // somewhere safe to land. (Placed after the one-shot Υ above: that
-        // transform runs once per run, so a rollback must not precede it.)
-        if let Some(g) = guard.as_mut() {
-            let mut st = TrainerState::new(
-                VARIANT_R,
-                Phase::Clustering {
-                    next_epoch: start_epoch,
-                },
-                model.export_params(),
-                rng,
-            );
-            st.omega = Some(omega.clone());
-            st.a_self = Some((*a_self).clone());
-            st.converged_at = converged_at;
-            st.pretrain_metrics = Some(pretrain_metrics);
-            st.epochs = epochs.clone();
-            st.snapshots = snapshots
-                .iter()
-                .map(|(e, z, a)| (*e, z.clone(), Some((**a).clone())))
-                .collect();
-            st.elapsed_seconds = elapsed_base;
-            g.note_healthy(st);
-        }
-
-        'attempts: loop {
-            for epoch in start_epoch..cfg.max_epochs {
-                if cfg.snapshot_epochs.contains(&epoch) {
-                    snapshots.push((epoch, model.embed(data), Rc::clone(&a_self)));
-                }
-                let xi_active = cfg.use_xi && epoch >= cfg.delay_xi;
-
-                // Refresh Ω every M₁ epochs (Ω = 𝒱 while Ξ is inactive).
-                if epoch % cfg.m1 == 0 {
-                    if xi_active {
-                        let _xi = span(rec, "xi");
-                        let p = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
-                        let candidate = xi(&p, &cfg.xi)?;
-                        if candidate.is_empty() {
-                            emit_omega_guard(
-                                rec,
-                                "degenerate_omega",
-                                epoch,
-                                "Xi returned an empty Omega; keeping the previous one",
-                            );
-                        } else {
-                            omega = candidate;
-                        }
-                    } else {
-                        omega = Omega {
-                            indices: all_nodes.clone(),
-                            lambda1: vec![1.0; n],
-                            lambda2: vec![0.0; n],
-                        };
-                    }
-                }
-
-                // Refresh A^self_clus every M₂ epochs (gradual correction).
-                if cfg.use_upsilon
-                    && cfg.fd_mode == FdMode::GradualCorrection
-                    && epoch % cfg.m2 == 0
-                {
-                    let _upsilon = span(rec, "upsilon");
-                    let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
-                    let z = model.embed(data);
-                    let out = upsilon(&data.adjacency, &p, &z, &omega.indices, &cfg.upsilon)?;
-                    rec.count("edges_added", out.added.len() as u64);
-                    rec.count("edges_dropped", out.dropped.len() as u64);
-                    a_self = Rc::new(out.graph);
-                }
-
-                // One optimisation step, with any scheduled fault injections.
-                let due_faults = guard
-                    .as_mut()
-                    .map_or_else(Vec::new, |g| g.faults_due("clustering", epoch));
-                let step_t = span(rec, "step");
-                let cluster = match model.cluster_target(data)? {
-                    // |Ω| = 0 would make the clustering loss an empty-set
-                    // reduction; skip the term this epoch instead.
-                    Some(_) if omega.is_empty() => {
-                        emit_omega_guard(
-                            rec,
-                            "empty_omega",
-                            epoch,
-                            "|Omega| = 0: skipping the clustering-loss term this epoch",
-                        );
-                        None
-                    }
-                    Some(target) => Some(ClusterStep {
-                        target,
-                        omega: if omega.len() < n {
-                            Some(omega.indices.clone())
-                        } else {
-                            None
-                        },
-                    }),
-                    None => None,
-                };
-                let spec = StepSpec {
-                    recon_target: Some(Rc::clone(&a_self)),
-                    gamma: cfg.gamma,
-                    cluster,
-                };
-                let poison = due_faults.contains(&FaultKind::NanGrad);
-                if poison {
-                    arm_grad_poison();
-                }
-                let step_result = model.train_step(data, &spec, rng);
-                if poison {
-                    disarm_grad_poison();
-                }
-                let mut loss = step_result?;
-                step_t.stop();
-                for kind in &due_faults {
-                    match kind {
-                        FaultKind::InfLoss => loss = f64::INFINITY,
-                        FaultKind::NanLoss => loss = f64::NAN,
-                        FaultKind::CorruptCkpt => {
-                            if let Some(s) = saver.as_ref() {
-                                s.corrupt_latest(epoch as u64)?;
-                            }
-                        }
-                        FaultKind::NanGrad => {}
-                    }
-                }
-
-                // Trip checks run before any bookkeeping: a tripped epoch
-                // contributes no record, no convergence, and no save.
-                let mut exported: Option<ModelState> = None;
-                let mut snap = false;
-                if let Some(g) = guard.as_mut() {
-                    snap = g.snapshot_due(epoch, saver.as_ref().is_some_and(|s| s.due(epoch + 1)));
-                    let (state, tripped) = g.check_core("clustering", epoch, loss, model, snap);
-                    exported = state;
-                    if tripped {
-                        match g.recover(saver.as_ref(), VARIANT_R, true, "clustering", epoch) {
-                            Recovery::Retry(st, plan) => {
-                                model.import_params(&st.model)?;
-                                model.scale_lr(plan.lr_scale);
-                                *rng = st.rng();
-                                rng.reseed_with(plan.reseed_salt);
-                                a_self = st.a_self.as_ref().map_or_else(
-                                    || Rc::clone(&data.adjacency),
-                                    |a| Rc::new(a.clone()),
-                                );
-                                snapshots = st.r_snapshots(&a_self);
-                                omega = st.omega.clone().unwrap_or_else(|| Omega {
-                                    indices: all_nodes.clone(),
-                                    lambda1: vec![1.0; n],
-                                    lambda2: vec![0.0; n],
-                                });
-                                converged_at = st.converged_at;
-                                epochs = st.epochs.clone();
-                                start_epoch = st.phase.next_epoch().unwrap_or(0);
-                                continue 'attempts;
-                            }
-                            Recovery::Degrade(st) => {
-                                if let Some(st) = st {
-                                    model.import_params(&st.model)?;
-                                    *rng = st.rng();
-                                    a_self = st.a_self.as_ref().map_or_else(
-                                        || Rc::clone(&data.adjacency),
-                                        |a| Rc::new(a.clone()),
-                                    );
-                                    snapshots = st.r_snapshots(&a_self);
-                                    converged_at = st.converged_at;
-                                    epochs = st.epochs.clone();
-                                }
-                                degraded = true;
-                                break 'attempts;
-                            }
-                        }
-                    }
-                }
-
-                // This epoch ends the run either by convergence (|Ω| ≥ 0.9N,
-                // checked on the Ω that drove the step) or by exhausting the
-                // budget; both force a full evaluation so the last record
-                // always carries metrics regardless of `eval_every`.
-                let converging = converged_at.is_none()
-                    && epoch >= cfg.min_epochs
-                    && omega.coverage(n) >= cfg.convergence;
-                let last_epoch = converging || epoch + 1 == cfg.max_epochs;
-
-                // Bookkeeping.
-                let (record, p) = {
-                    let _record = span(rec, "record");
-                    self.record_epoch(
-                        model, data, graph, epoch, loss, &omega, &a_self, rng, last_epoch,
-                    )?
-                };
-                if rec.enabled() {
-                    rec.record(&Event::Epoch(record.to_event()));
-                    rec.gauge("omega_size", Some(epoch), omega.len() as f64);
-                }
-                epochs.push(record);
-                if let Some(g) = guard.as_mut() {
-                    g.warn_checks("clustering", epoch, Some(&p), Some((omega.len(), n)));
-                }
-
-                if converging {
-                    converged_at = Some(epoch);
-                    if rec.enabled() {
-                        rec.record(&Event::Convergence { epoch });
-                    }
-                }
-
-                let due_save = saver
-                    .as_ref()
-                    .is_some_and(|s| !last_epoch && s.due(epoch + 1));
-                if snap || due_save {
-                    let mut st = TrainerState::new(
-                        VARIANT_R,
-                        Phase::Clustering {
-                            next_epoch: epoch + 1,
-                        },
-                        exported.take().unwrap_or_else(|| model.export_params()),
-                        rng,
-                    );
-                    st.omega = Some(omega.clone());
-                    st.a_self = Some((*a_self).clone());
-                    st.converged_at = converged_at;
-                    st.pretrain_metrics = Some(pretrain_metrics);
-                    st.epochs = epochs.clone();
-                    st.snapshots = snapshots
-                        .iter()
-                        .map(|(e, z, a)| (*e, z.clone(), Some((**a).clone())))
-                        .collect();
-                    st.elapsed_seconds = elapsed_base + phase_start.elapsed().as_secs_f64();
-                    if due_save {
-                        if let Some(s) = saver.as_mut() {
-                            s.save(&st)?;
-                            if guard.is_some() {
-                                s.mark_healthy(&st)?;
-                            }
-                        }
-                    }
-                    if let Some(g) = guard.as_mut() {
-                        g.note_healthy(st);
-                    }
-                }
-
-                if converging {
-                    break;
-                }
-            }
-            break 'attempts;
-        }
-        let train_seconds = elapsed_base + clustering.stop();
-        // Requested snapshots at or past the end of the run collapse into
-        // one final snapshot labelled with the actual epoch count — on early
-        // convergence that is the convergence epoch + 1, not `max_epochs`.
-        let end_epoch = epochs.last().map_or(0, |e| e.epoch + 1);
-        if cfg.snapshot_epochs.iter().any(|&e| e >= end_epoch)
-            && !snapshots.iter().any(|s| s.0 == end_epoch)
-        {
-            snapshots.push((end_epoch, model.embed(data), Rc::clone(&a_self)));
-        }
-        let final_metrics = {
-            let _eval = span(rec, "eval");
-            evaluate_traced(model, data, truth, rng, rec)?
-        };
-        if rec.enabled() {
-            rec.record(&Event::RunEnd(RunSummary {
-                train_seconds,
-                converged_at,
-                epochs_run: epochs.len(),
-                final_acc: final_metrics.acc,
-                final_nmi: final_metrics.nmi,
-                final_ari: final_metrics.ari,
-                degraded,
-            }));
-            flush_kernel_stats(rec);
-        }
-        if let Some(s) = saver.as_mut() {
-            let mut st = TrainerState::new(VARIANT_R, Phase::Done, model.export_params(), rng);
-            st.a_self = Some((*a_self).clone());
-            st.converged_at = converged_at;
-            st.pretrain_metrics = Some(pretrain_metrics);
-            st.final_metrics = Some(final_metrics);
-            st.epochs = epochs.clone();
-            st.snapshots = snapshots
-                .iter()
-                .map(|(e, z, a)| (*e, z.clone(), Some((**a).clone())))
-                .collect();
-            st.elapsed_seconds = train_seconds;
-            st.degraded = degraded;
-            s.save(&st)?;
-        }
-        Ok(RReport {
-            pretrain_metrics,
-            final_metrics,
-            converged_at,
-            epochs,
-            train_seconds,
-            final_graph: a_self,
-            snapshots,
-            degraded,
-        })
-    }
-
-    /// Per-epoch bookkeeping. Also returns the soft assignments `P` it
-    /// computed (the epoch's only RNG consumer), so the guard layer can run
-    /// its cluster-collapse check without consuming the stream again.
-    #[allow(clippy::too_many_arguments)]
-    fn record_epoch(
-        &self,
-        model: &dyn GaeModel,
-        data: &TrainData,
-        graph: &AttributedGraph,
-        epoch: usize,
-        loss: f64,
-        omega: &Omega,
-        a_self: &Rc<Csr>,
-        rng: &mut Rng64,
-        force_eval: bool,
-    ) -> Result<(EpochRecord, rgae_linalg::Mat)> {
-        let cfg = &self.cfg;
-        let truth = graph.labels();
-        let n = data.num_nodes;
-
-        let eval_t = span(self.rec, "eval");
-        let p = soft_assignments_or_kmeans_traced(model, data, rng, self.rec)?;
-        let pred = p.row_argmax();
-
-        let eval_now = force_eval || epoch.is_multiple_of(cfg.eval_every);
-        let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
-
-        let omega_pred: Vec<usize> = omega.indices.iter().map(|&i| pred[i]).collect();
-        let omega_truth: Vec<usize> = omega.indices.iter().map(|&i| truth[i]).collect();
-        let omega_acc = if omega.is_empty() {
-            0.0
-        } else {
-            accuracy(&omega_pred, &omega_truth)
-        };
-        let rest: Vec<usize> = omega.complement(n);
-        let rest_pred: Vec<usize> = rest.iter().map(|&i| pred[i]).collect();
-        let rest_truth: Vec<usize> = rest.iter().map(|&i| truth[i]).collect();
-        let rest_acc = if rest.is_empty() {
-            1.0
-        } else {
-            accuracy(&rest_pred, &rest_truth)
-        };
-
-        // The graph scans are O(|E|) and purely diagnostic; skip them on
-        // non-eval epochs (none of this consumes the RNG stream).
-        let (graph_stats, added_links, dropped_links) = if eval_now {
-            let added = edge_diff(&data.adjacency, a_self);
-            let dropped = edge_diff(a_self, &data.adjacency);
-            (
-                Some(GraphStats::compute(a_self, truth)),
-                Some(split_links(&added, truth)),
-                Some(split_links(&dropped, truth)),
-            )
-        } else {
-            (None, None, None)
-        };
-        eval_t.stop();
-
-        let (mut fr_r, mut fr_full, mut fd_cur, mut fd_van) = (None, None, None, None);
-        if cfg.track_diagnostics {
-            let _diag = span(self.rec, "diagnostics");
-            let z = model.embed(data);
-            if let Some(target) = model.cluster_target(data)? {
-                fr_r = lambda_fr(model, data, &target, Some(&omega.indices), truth, self.rec)?;
-                fr_full = lambda_fr(model, data, &target, None, truth, self.rec)?;
-            }
-            let sup = supervised_graph(data, &z, &p, truth, self.rec)?;
-            fd_cur = Some(lambda_fd(model, data, a_self, &sup)?);
-            fd_van = Some(lambda_fd(model, data, &data.adjacency, &sup)?);
-        }
-
-        Ok((
-            EpochRecord {
-                epoch,
-                loss,
-                metrics,
-                omega_size: omega.len(),
-                omega_acc,
-                rest_acc,
-                graph_stats,
-                added_links,
-                dropped_links,
-                lambda_fr_restricted: fr_r,
-                lambda_fr_full: fr_full,
-                lambda_fd_current: fd_cur,
-                lambda_fd_vanilla: fd_van,
-            },
-            p,
-        ))
+        let driver = self.driver();
+        let mut saver = Saver::open(self.ckpt.as_ref(), self.rec)?;
+        let resumed = driver.load_resume(saver.as_ref());
+        driver.clustering(model, graph, data, rng, &mut saver, resumed)
     }
 }
 
@@ -1439,10 +1539,10 @@ fn flush_kernel_stats(rec: &dyn Recorder) {
 }
 
 /// Train the un-modified model 𝒟: pretraining, head initialisation, then
-/// `train_epochs` of its own joint loss against the static graph `A` (or
+/// `max_epochs` of its own joint loss against the static graph `A` (or
 /// pure reconstruction for first-group models). Diagnostics are recorded
-/// when `track_diagnostics` is set (using `xi_cfg` only to compute the
-/// hypothetical Ω for the Λ comparisons).
+/// when `track_diagnostics` is set (using `cfg.xi` and `cfg.upsilon` only to
+/// compute the hypothetical Ω and Υ graph for the Λ comparisons).
 pub fn train_plain(
     model: &mut dyn GaeModel,
     graph: &AttributedGraph,
@@ -1468,9 +1568,6 @@ pub fn train_plain_traced(
 /// both phases plus phase-boundary and end-of-run saves, and (with
 /// `opts.resume`) bit-identical mid-phase re-entry — the plain counterpart
 /// of [`RTrainer::with_checkpoints`].
-// `mut_range_bound`: the guard rollback updates a loop's start epoch and
-// re-enters it via `continue 'attempts`, where the bound IS re-read.
-#[allow(clippy::too_many_lines, clippy::mut_range_bound)]
 pub fn train_plain_ckpt(
     model: &mut dyn GaeModel,
     graph: &AttributedGraph,
@@ -1485,433 +1582,21 @@ pub fn train_plain_ckpt(
         let _ = rgae_par::take_kernel_stats();
     }
     let data = TrainData::from_graph(graph);
-    let truth = graph.labels();
-
+    let driver = PhaseDriver {
+        cfg,
+        rec,
+        variant: Variant::Plain,
+    };
     let mut saver = Saver::open(ckpt, rec)?;
-    let mut resumed = saver
-        .as_ref()
-        .and_then(|s| s.load_for_resume(VARIANT_PLAIN));
-
-    // Fast-forward: the stored run already finished. Rebuild its report and
-    // replay its events so a resumed log is still complete.
-    if resumed.as_ref().is_some_and(|st| st.phase == Phase::Done) {
-        let st = resumed.take().unwrap();
-        if let (Some(pm), Some(fm)) = (st.pretrain_metrics, st.final_metrics) {
-            model.import_params(&st.model)?;
-            *rng = st.rng();
-            let snapshots = st.plain_snapshots();
-            if rec.enabled() {
-                for e in &st.epochs {
-                    rec.record(&Event::Epoch(e.to_event()));
-                    rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-                }
-                rec.record(&Event::RunEnd(RunSummary {
-                    train_seconds: st.elapsed_seconds,
-                    converged_at: None,
-                    epochs_run: st.epochs.len(),
-                    final_acc: fm.acc,
-                    final_nmi: fm.nmi,
-                    final_ari: fm.ari,
-                    degraded: st.degraded,
-                }));
-            }
-            return Ok(PlainReport {
-                pretrain_metrics: pm,
-                final_metrics: fm,
-                epochs: st.epochs,
-                train_seconds: st.elapsed_seconds,
-                snapshots,
-                degraded: st.degraded,
-            });
-        }
-        // A finished state missing its metrics is unusable: run fresh.
-    }
-
-    let mut clustering_resume: Option<TrainerState> = None;
-    let mut pretrain_start = 0usize;
-    if let Some(st) = resumed {
-        match st.phase {
-            Phase::Pretrain { next_epoch } => {
-                model.import_params(&st.model)?;
-                *rng = st.rng();
-                pretrain_start = next_epoch;
-            }
-            Phase::Clustering { .. } => clustering_resume = Some(st),
-            // Handled (or discarded) above.
-            Phase::Done => {}
-        }
-    }
-
-    if clustering_resume.is_none() {
-        let spec_pre = StepSpec::pretrain(Rc::clone(&data.adjacency));
-        let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, false);
-        // Phase-entry seed: a trip before the first snapshot-cadence epoch
-        // rolls back to the initial weights instead of degrading.
-        if let Some(g) = guard.as_mut() {
-            g.note_healthy(TrainerState::new(
-                VARIANT_PLAIN,
-                Phase::Pretrain {
-                    next_epoch: pretrain_start,
-                },
-                model.export_params(),
-                rng,
-            ));
-        }
-        {
-            let _pretrain = span(rec, "pretrain");
-            'attempts: loop {
-                for epoch in pretrain_start..cfg.pretrain_epochs {
-                    let loss = model.train_step(&data, &spec_pre, rng)?;
-                    let mut exported: Option<ModelState> = None;
-                    let mut snap = false;
-                    if let Some(g) = guard.as_mut() {
-                        let next = epoch + 1;
-                        snap = g.snapshot_due(
-                            epoch,
-                            saver
-                                .as_ref()
-                                .is_some_and(|s| s.due(next) && next < cfg.pretrain_epochs),
-                        );
-                        let (state, tripped) = g.check_core("pretrain", epoch, loss, model, snap);
-                        exported = state;
-                        if tripped {
-                            match g.recover(saver.as_ref(), VARIANT_PLAIN, false, "pretrain", epoch)
-                            {
-                                Recovery::Retry(st, plan) => {
-                                    model.import_params(&st.model)?;
-                                    model.scale_lr(plan.lr_scale);
-                                    *rng = st.rng();
-                                    rng.reseed_with(plan.reseed_salt);
-                                    pretrain_start = st.phase.next_epoch().unwrap_or(0);
-                                    continue 'attempts;
-                                }
-                                Recovery::Degrade(st) => {
-                                    // Not terminal for the run: restore the
-                                    // last-good weights (when any) and move
-                                    // on to head init — the clustering phase
-                                    // may still recover.
-                                    if let Some(st) = st {
-                                        model.import_params(&st.model)?;
-                                        *rng = st.rng();
-                                    }
-                                    break 'attempts;
-                                }
-                            }
-                        }
-                    }
-                    let next = epoch + 1;
-                    let due_save = saver
-                        .as_ref()
-                        .is_some_and(|s| s.due(next) && next < cfg.pretrain_epochs);
-                    if snap || due_save {
-                        let st = TrainerState::new(
-                            VARIANT_PLAIN,
-                            Phase::Pretrain { next_epoch: next },
-                            exported.take().unwrap_or_else(|| model.export_params()),
-                            rng,
-                        );
-                        if due_save {
-                            if let Some(s) = saver.as_mut() {
-                                s.save(&st)?;
-                                if guard.is_some() {
-                                    s.mark_healthy(&st)?;
-                                }
-                            }
-                        }
-                        if let Some(g) = guard.as_mut() {
-                            g.note_healthy(st);
-                        }
-                    }
-                }
-                break 'attempts;
-            }
-        }
-        {
-            let _init = span(rec, "init_head");
-            model.init_clustering(&data, rng)?;
-        }
-        // Phase-boundary save: pretraining + head init are the expensive
-        // prefix shared by every resume, so always persist them.
-        if let Some(s) = saver.as_mut() {
-            let st = TrainerState::new(
-                VARIANT_PLAIN,
-                Phase::Clustering { next_epoch: 0 },
-                model.export_params(),
-                rng,
-            );
-            s.save(&st)?;
-        }
-    }
-
-    let mut epochs: Vec<EpochRecord> = Vec::new();
-    let mut snapshots: Vec<(usize, rgae_linalg::Mat)> = Vec::new();
-    let mut start_epoch = 0usize;
-    let mut elapsed_base = 0.0;
-    let mut restored_pretrain_metrics: Option<Metrics> = None;
-    if let Some(st) = clustering_resume {
-        model.import_params(&st.model)?;
-        *rng = st.rng();
-        snapshots = st.plain_snapshots();
-        restored_pretrain_metrics = st.pretrain_metrics;
-        elapsed_base = st.elapsed_seconds;
-        if rec.enabled() {
-            for e in &st.epochs {
-                rec.record(&Event::Epoch(e.to_event()));
-                rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-            }
-        }
-        epochs = st.epochs;
-        start_epoch = st.phase.next_epoch().unwrap_or(0);
-    }
-
-    // The phase-boundary checkpoint precedes this evaluation, so a resume
-    // from it re-consumes the RNG stream exactly like a fresh run;
-    // mid-clustering checkpoints carry the metrics instead.
-    let pretrain_metrics = match restored_pretrain_metrics {
-        Some(m) => m,
-        None => {
-            let _eval = span(rec, "eval");
-            evaluate_traced(model, &data, truth, rng, rec)?
-        }
-    };
-
-    let clustering = span(rec, "clustering");
-    let phase_start = std::time::Instant::now();
-    let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, true);
-    let mut degraded = false;
-    // Seed the in-memory rollback target with the phase-entry state so a
-    // guard tripped before the first snapshot-cadence epoch still has
-    // somewhere safe to land.
-    if let Some(g) = guard.as_mut() {
-        let mut st = TrainerState::new(
-            VARIANT_PLAIN,
-            Phase::Clustering {
-                next_epoch: start_epoch,
-            },
-            model.export_params(),
-            rng,
-        );
-        st.pretrain_metrics = Some(pretrain_metrics);
-        st.epochs = epochs.clone();
-        st.snapshots = snapshots
-            .iter()
-            .map(|(e, z)| (*e, z.clone(), None))
-            .collect();
-        st.elapsed_seconds = elapsed_base;
-        g.note_healthy(st);
-    }
-    'attempts: loop {
-        for epoch in start_epoch..cfg.max_epochs {
-            if cfg.snapshot_epochs.contains(&epoch) {
-                snapshots.push((epoch, model.embed(&data)));
-            }
-            // One optimisation step, with any scheduled fault injections.
-            let due_faults = guard
-                .as_mut()
-                .map_or_else(Vec::new, |g| g.faults_due("clustering", epoch));
-            let step_t = span(rec, "step");
-            let cluster = model.cluster_target(&data)?.map(|target| ClusterStep {
-                target,
-                omega: None,
-            });
-            let spec = StepSpec {
-                recon_target: Some(Rc::clone(&data.adjacency)),
-                gamma: cfg.gamma,
-                cluster,
-            };
-            let poison = due_faults.contains(&FaultKind::NanGrad);
-            if poison {
-                arm_grad_poison();
-            }
-            let step_result = model.train_step(&data, &spec, rng);
-            if poison {
-                disarm_grad_poison();
-            }
-            let mut loss = step_result?;
-            step_t.stop();
-            for kind in &due_faults {
-                match kind {
-                    FaultKind::InfLoss => loss = f64::INFINITY,
-                    FaultKind::NanLoss => loss = f64::NAN,
-                    FaultKind::CorruptCkpt => {
-                        if let Some(s) = saver.as_ref() {
-                            s.corrupt_latest(epoch as u64)?;
-                        }
-                    }
-                    FaultKind::NanGrad => {}
-                }
-            }
-
-            // Trip checks run before any bookkeeping: a tripped epoch
-            // contributes no record and no save.
-            let mut exported: Option<ModelState> = None;
-            let mut snap = false;
-            if let Some(g) = guard.as_mut() {
-                snap = g.snapshot_due(epoch, saver.as_ref().is_some_and(|s| s.due(epoch + 1)));
-                let (state, tripped) = g.check_core("clustering", epoch, loss, model, snap);
-                exported = state;
-                if tripped {
-                    match g.recover(saver.as_ref(), VARIANT_PLAIN, true, "clustering", epoch) {
-                        Recovery::Retry(st, plan) => {
-                            model.import_params(&st.model)?;
-                            model.scale_lr(plan.lr_scale);
-                            *rng = st.rng();
-                            rng.reseed_with(plan.reseed_salt);
-                            snapshots = st.plain_snapshots();
-                            epochs = st.epochs.clone();
-                            start_epoch = st.phase.next_epoch().unwrap_or(0);
-                            continue 'attempts;
-                        }
-                        Recovery::Degrade(st) => {
-                            if let Some(st) = st {
-                                model.import_params(&st.model)?;
-                                *rng = st.rng();
-                                snapshots = st.plain_snapshots();
-                                epochs = st.epochs.clone();
-                            }
-                            degraded = true;
-                            break 'attempts;
-                        }
-                    }
-                }
-            }
-
-            // The final epoch always gets a full evaluation, whatever
-            // `eval_every` says — the closing record must carry metrics.
-            let last_epoch = epoch + 1 == cfg.max_epochs;
-            let record_t = span(rec, "record");
-            let eval_t = span(rec, "eval");
-            let p = soft_assignments_or_kmeans_traced(model, &data, rng, rec)?;
-            let pred = p.row_argmax();
-            let eval_now = last_epoch || epoch.is_multiple_of(cfg.eval_every);
-            let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
-            eval_t.stop();
-            let (mut fr_r, mut fr_full, mut fd_cur, mut fd_van) = (None, None, None, None);
-            let mut omega_size = data.num_nodes;
-            if cfg.track_diagnostics {
-                let _diag = span(rec, "diagnostics");
-                let p_xi = xi_assignments_or_kmeans_traced(model, &data, rng, rec)?;
-                let omega = xi(&p_xi, &cfg.xi)?;
-                omega_size = omega.len();
-                let z = model.embed(&data);
-                if let Some(target) = model.cluster_target(&data)? {
-                    if !omega.is_empty() {
-                        fr_r = lambda_fr(model, &data, &target, Some(&omega.indices), truth, rec)?;
-                    }
-                    fr_full = lambda_fr(model, &data, &target, None, truth, rec)?;
-                }
-                let sup = supervised_graph(&data, &z, &p, truth, rec)?;
-                // "R value at the plain model's θ": the Υ-transformed graph the
-                // R-model would use right now.
-                if !omega.is_empty() {
-                    let out = upsilon(&data.adjacency, &p, &z, &omega.indices, &cfg.upsilon)?;
-                    fd_cur = Some(lambda_fd(model, &data, &Rc::new(out.graph), &sup)?);
-                }
-                fd_van = Some(lambda_fd(model, &data, &data.adjacency, &sup)?);
-            }
-            let record = EpochRecord {
-                epoch,
-                loss,
-                metrics,
-                omega_size,
-                omega_acc: 0.0,
-                rest_acc: 0.0,
-                graph_stats: eval_now.then(|| GraphStats::compute(&data.adjacency, truth)),
-                added_links: eval_now.then_some((0, 0)),
-                dropped_links: eval_now.then_some((0, 0)),
-                lambda_fr_restricted: fr_r,
-                lambda_fr_full: fr_full,
-                lambda_fd_current: fd_cur,
-                lambda_fd_vanilla: fd_van,
-            };
-            record_t.stop();
-            if rec.enabled() {
-                rec.record(&Event::Epoch(record.to_event()));
-                rec.gauge("omega_size", Some(epoch), omega_size as f64);
-            }
-            epochs.push(record);
-            if let Some(g) = guard.as_mut() {
-                g.warn_checks("clustering", epoch, Some(&p), None);
-            }
-
-            let due_save = saver
-                .as_ref()
-                .is_some_and(|s| !last_epoch && s.due(epoch + 1));
-            if snap || due_save {
-                let mut st = TrainerState::new(
-                    VARIANT_PLAIN,
-                    Phase::Clustering {
-                        next_epoch: epoch + 1,
-                    },
-                    exported.take().unwrap_or_else(|| model.export_params()),
-                    rng,
-                );
-                st.pretrain_metrics = Some(pretrain_metrics);
-                st.epochs = epochs.clone();
-                st.snapshots = snapshots
-                    .iter()
-                    .map(|(e, z)| (*e, z.clone(), None))
-                    .collect();
-                st.elapsed_seconds = elapsed_base + phase_start.elapsed().as_secs_f64();
-                if due_save {
-                    if let Some(s) = saver.as_mut() {
-                        s.save(&st)?;
-                        if guard.is_some() {
-                            s.mark_healthy(&st)?;
-                        }
-                    }
-                }
-                if let Some(g) = guard.as_mut() {
-                    g.note_healthy(st);
-                }
-            }
-        }
-        break 'attempts;
-    }
-    let train_seconds = elapsed_base + clustering.stop();
-    // Requested snapshots at or past the end of the run collapse into one
-    // final snapshot labelled with the actual epoch count.
-    let end_epoch = epochs.last().map_or(0, |e| e.epoch + 1);
-    if cfg.snapshot_epochs.iter().any(|&e| e >= end_epoch)
-        && !snapshots.iter().any(|s| s.0 == end_epoch)
-    {
-        snapshots.push((end_epoch, model.embed(&data)));
-    }
-    let final_metrics = {
-        let _eval = span(rec, "eval");
-        evaluate_traced(model, &data, truth, rng, rec)?
-    };
-    if rec.enabled() {
-        rec.record(&Event::RunEnd(RunSummary {
-            train_seconds,
-            converged_at: None,
-            epochs_run: epochs.len(),
-            final_acc: final_metrics.acc,
-            final_nmi: final_metrics.nmi,
-            final_ari: final_metrics.ari,
-            degraded,
-        }));
-        flush_kernel_stats(rec);
-    }
-    if let Some(s) = saver.as_mut() {
-        let mut st = TrainerState::new(VARIANT_PLAIN, Phase::Done, model.export_params(), rng);
-        st.pretrain_metrics = Some(pretrain_metrics);
-        st.final_metrics = Some(final_metrics);
-        st.epochs = epochs.clone();
-        st.snapshots = snapshots
-            .iter()
-            .map(|(e, z)| (*e, z.clone(), None))
-            .collect();
-        st.elapsed_seconds = train_seconds;
-        st.degraded = degraded;
-        s.save(&st)?;
-    }
+    let resumed = driver.load_resume(saver.as_ref());
+    let resumed = driver.pretrain(model, &data, rng, &mut saver, resumed)?;
+    let r = driver.clustering(model, graph, &data, rng, &mut saver, resumed)?;
     Ok(PlainReport {
-        pretrain_metrics,
-        final_metrics,
-        epochs,
-        train_seconds,
-        snapshots,
-        degraded,
+        pretrain_metrics: r.pretrain_metrics,
+        final_metrics: r.final_metrics,
+        epochs: r.epochs,
+        train_seconds: r.train_seconds,
+        snapshots: r.snapshots.into_iter().map(|(e, z, _)| (e, z)).collect(),
+        degraded: r.degraded,
     })
 }

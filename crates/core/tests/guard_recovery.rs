@@ -6,36 +6,16 @@
 //! exhausted the run still finishes, on last-good parameters, marked
 //! degraded.
 
-use std::path::PathBuf;
+mod common;
 
+use common::{assert_epochs_eq, assert_metrics_bits_eq, assert_r_reports_eq, temp_dir, test_graph};
 use rgae_core::{
     train_plain_ckpt, CheckpointOpts, Error, FaultSpec, GuardConfig, PlainReport, RConfig, RReport,
     RTrainer,
 };
-use rgae_datasets::{citation_like, CitationSpec};
-use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
 use rgae_models::{Dgae, TrainData};
 use rgae_obs::{Event, MemorySink, Recorder, NOOP};
-
-fn test_graph(seed: u64) -> AttributedGraph {
-    citation_like(
-        &CitationSpec {
-            name: "cora-like".into(),
-            num_nodes: 160,
-            num_classes: 3,
-            num_features: 80,
-            avg_degree: 5.0,
-            homophily: 0.82,
-            degree_power: 2.6,
-            words_per_node: 12,
-            topic_purity: 0.8,
-            class_proportions: vec![],
-        },
-        seed,
-    )
-    .unwrap()
-}
 
 /// Same deterministic schedule as the checkpoint tests: no early convergence
 /// races (min = max), a mid-run snapshot, sparse evals.
@@ -57,12 +37,6 @@ fn guard(faults: &str, max_retries: usize) -> GuardConfig {
         max_retries,
         ..GuardConfig::default()
     }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rgae-guard-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 const SEED: u64 = 17;
@@ -93,47 +67,6 @@ fn run_plain(
     let mut rng = Rng64::seed_from_u64(SEED);
     let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
     train_plain_ckpt(&mut model, &graph, cfg, &mut rng, rec, ckpt)
-}
-
-fn assert_metrics_bits_eq(a: &rgae_core::Metrics, b: &rgae_core::Metrics, what: &str) {
-    assert_eq!(a.acc.to_bits(), b.acc.to_bits(), "{what} acc");
-    assert_eq!(a.nmi.to_bits(), b.nmi.to_bits(), "{what} nmi");
-    assert_eq!(a.ari.to_bits(), b.ari.to_bits(), "{what} ari");
-}
-
-fn assert_epochs_eq(a: &[rgae_core::EpochRecord], b: &[rgae_core::EpochRecord], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: epoch count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.epoch, y.epoch, "{what}: epoch index");
-        assert_eq!(
-            x.loss.to_bits(),
-            y.loss.to_bits(),
-            "{what}: loss at epoch {}",
-            x.epoch
-        );
-        assert_eq!(x.omega_size, y.omega_size, "{what}: |Ω| at {}", x.epoch);
-        match (&x.metrics, &y.metrics) {
-            (Some(mx), Some(my)) => assert_metrics_bits_eq(mx, my, what),
-            (None, None) => {}
-            _ => panic!("{what}: metrics presence differs at epoch {}", x.epoch),
-        }
-    }
-}
-
-fn assert_r_reports_eq(a: &RReport, b: &RReport, what: &str) {
-    assert_epochs_eq(&a.epochs, &b.epochs, what);
-    assert_eq!(a.converged_at, b.converged_at, "{what}: converged_at");
-    assert_metrics_bits_eq(&a.pretrain_metrics, &b.pretrain_metrics, what);
-    assert_metrics_bits_eq(&a.final_metrics, &b.final_metrics, what);
-    assert_eq!(a.final_graph.indptr(), b.final_graph.indptr(), "{what}");
-    assert_eq!(a.final_graph.indices(), b.final_graph.indices(), "{what}");
-    for ((ea, za, _), (eb, zb, _)) in a.snapshots.iter().zip(&b.snapshots) {
-        assert_eq!(ea, eb, "{what}: snapshot epoch");
-        for (va, vb) in za.as_slice().iter().zip(zb.as_slice()) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "{what}: snapshot Z bits");
-        }
-    }
-    assert_eq!(a.degraded, b.degraded, "{what}: degraded flag");
 }
 
 fn recovery_actions(sink: &MemorySink) -> Vec<(String, String)> {

@@ -2,30 +2,12 @@
 //! miniature scale, plus every protocol switch (delays, protection modes,
 //! ablations).
 
-use rgae_core::{train_plain, FdMode, RConfig, RTrainer};
-use rgae_datasets::{citation_like, CitationSpec};
-use rgae_graph::AttributedGraph;
-use rgae_linalg::Rng64;
-use rgae_models::{Dgae, Gae, GmmVgae, TrainData};
+mod common;
 
-fn test_graph(seed: u64) -> AttributedGraph {
-    citation_like(
-        &CitationSpec {
-            name: "cora-like".into(),
-            num_nodes: 160,
-            num_classes: 3,
-            num_features: 80,
-            avg_degree: 5.0,
-            homophily: 0.82,
-            degree_power: 2.6,
-            words_per_node: 12,
-            topic_purity: 0.8,
-            class_proportions: vec![],
-        },
-        seed,
-    )
-    .unwrap()
-}
+use common::{assert_metrics_bits_eq, test_graph};
+use rgae_core::{train_plain, FdMode, RConfig, RTrainer};
+use rgae_linalg::Rng64;
+use rgae_models::{Dgae, Gae, GaeModel, GmmVgae, TrainData};
 
 fn quick_cfg() -> RConfig {
     let mut cfg = RConfig::for_dataset("cora-like").quick();
@@ -318,4 +300,65 @@ fn plain_trainer_tracks_diagnostics_too() {
     assert_eq!(report.epochs.len(), 10);
     assert!(report.epochs.iter().any(|e| e.lambda_fd_vanilla.is_some()));
     assert!(report.final_metrics.acc > 0.4);
+}
+
+/// The plain model 𝒟 is the R-𝒟 loop with both operators off: with Ξ and Υ
+/// disabled and no early convergence (`min_epochs = max_epochs`),
+/// `RTrainer::train` reproduces `train_plain` bit for bit — per-epoch
+/// losses, eval metrics, |Ω| and link diffs, plus the pretrain and final
+/// metrics — for a first-group model and both second-group heads, serial and
+/// parallel.
+#[test]
+fn plain_equals_r_with_operators_off() {
+    type Build = fn(&TrainData, usize, &mut Rng64) -> Box<dyn GaeModel>;
+    let models: [(&str, Build); 3] = [
+        ("DGAE", |d, k, rng| {
+            Box::new(Dgae::new(d.num_features(), k, rng))
+        }),
+        ("GMM-VGAE", |d, k, rng| {
+            Box::new(GmmVgae::new(d.num_features(), k, rng))
+        }),
+        ("GAE", |d, _, rng| Box::new(Gae::new(d.num_features(), rng))),
+    ];
+    let g = test_graph(23);
+    let data = TrainData::from_graph(&g);
+    for threads in [1, 2] {
+        let mut cfg = RConfig::for_dataset("cora-like").quick();
+        cfg.pretrain_epochs = 20;
+        cfg.max_epochs = 30;
+        cfg.min_epochs = 30;
+        cfg.eval_every = 5;
+        cfg.use_xi = false;
+        cfg.use_upsilon = false;
+        cfg.threads = Some(threads);
+        for (name, build) in models {
+            let what = format!("{name} @ {threads} threads");
+            let mut rng = Rng64::seed_from_u64(23);
+            let mut model = build(&data, g.num_classes(), &mut rng);
+            let plain = train_plain(model.as_mut(), &g, &cfg, &mut rng).unwrap();
+            let mut rng = Rng64::seed_from_u64(23);
+            let mut model = build(&data, g.num_classes(), &mut rng);
+            let r = RTrainer::new(cfg.clone())
+                .train(model.as_mut(), &g, &mut rng)
+                .unwrap();
+
+            assert_eq!(r.converged_at, None, "{what}: converged_at");
+            assert_eq!(plain.epochs.len(), r.epochs.len(), "{what}: epoch count");
+            for (p, q) in plain.epochs.iter().zip(&r.epochs) {
+                let e = p.epoch;
+                assert_eq!(e, q.epoch, "{what}: epoch index");
+                assert_eq!(p.loss.to_bits(), q.loss.to_bits(), "{what}: loss at {e}");
+                assert_eq!(p.omega_size, q.omega_size, "{what}: |Ω| at {e}");
+                match (&p.metrics, &q.metrics) {
+                    (Some(a), Some(b)) => assert_metrics_bits_eq(a, b, &what),
+                    (None, None) => {}
+                    _ => panic!("{what}: metrics presence differs at epoch {e}"),
+                }
+                assert_eq!(p.added_links, q.added_links, "{what}: added at {e}");
+                assert_eq!(p.dropped_links, q.dropped_links, "{what}: dropped at {e}");
+            }
+            assert_metrics_bits_eq(&plain.pretrain_metrics, &r.pretrain_metrics, &what);
+            assert_metrics_bits_eq(&plain.final_metrics, &r.final_metrics, &what);
+        }
+    }
 }

@@ -2,13 +2,10 @@
 //! confidence thresholds α₁ ∈ {0.1 … 0.4} and α₂ ∈ {0.05 … 0.25} on
 //! cora-like.
 
-use rgae_core::RTrainer;
-use rgae_linalg::Rng64;
-use rgae_models::TrainData;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    bin_name, emit_run_start, pct, print_table, rconfig_for_opts, DatasetKind, HarnessOpts,
-    ModelKind,
+    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
 fn main() {
@@ -17,7 +14,6 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = TrainData::from_graph(&graph);
     let alpha1s: Vec<f64> = if opts.quick {
         vec![0.1, 0.3]
     } else {
@@ -28,6 +24,10 @@ fn main() {
     } else {
         vec![0.05, 0.10, 0.15, 0.20, 0.25]
     };
+    let grid: Vec<(f64, f64)> = alpha1s
+        .iter()
+        .flat_map(|&a1| alpha2s.iter().map(move |&a2| (a1, a2)))
+        .collect();
 
     let mut rows = Vec::new();
     let mut csv = CsvWriter::create(
@@ -38,51 +38,39 @@ fn main() {
 
     for model in [ModelKind::GmmVgae, ModelKind::Dgae] {
         let base_cfg = rconfig_for_opts(model, dataset, &opts);
-        let mut rng = Rng64::seed_from_u64(opts.seed);
-        let trainer = RTrainer::with_recorder(base_cfg.clone(), rec);
-        let mut pretrained = model.build(data.num_features(), graph.num_classes(), &mut rng);
-        trainer
-            .pretrain(pretrained.as_mut(), &data, &mut rng)
-            .unwrap();
-        for &a1 in &alpha1s {
-            for &a2 in &alpha2s {
+        let variants = grid
+            .iter()
+            .map(|&(a1, a2)| {
                 let mut cfg = base_cfg.clone();
                 cfg.xi.alpha1 = a1;
                 cfg.xi.alpha2 = a2;
-                let mut variant = pretrained.clone_box();
-                let mut rng_v = Rng64::seed_from_u64(opts.seed ^ 0x11);
-                emit_run_start(
-                    rec,
-                    &bin_name(),
-                    model.name(),
-                    dataset.name(),
-                    &format!("r-a1={a1}-a2={a2}"),
-                    opts.seed,
-                    &cfg,
-                );
-                let report = RTrainer::with_recorder(cfg, rec)
-                    .train_clustering_phase(variant.as_mut(), &graph, &data, &mut rng_v)
-                    .unwrap();
-                let m = report.final_metrics;
-                eprintln!("  R-{} a1={a1} a2={a2}: {m}", model.name());
-                csv.row_strs(&[
-                    model.name().into(),
-                    a1.to_string(),
-                    a2.to_string(),
-                    format!("{:.4}", m.acc),
-                    format!("{:.4}", m.nmi),
-                    format!("{:.4}", m.ari),
-                ])
-                .expect("csv row");
-                rows.push(vec![
-                    format!("R-{}", model.name()),
-                    a1.to_string(),
-                    a2.to_string(),
-                    pct(m.acc),
-                    pct(m.nmi),
-                    pct(m.ari),
-                ]);
-            }
+                SweepVariant {
+                    label: format!("a1={a1}-a2={a2}"),
+                    cfg,
+                    seed: opts.seed ^ 0x11,
+                }
+            })
+            .collect();
+        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
+
+        for (&(a1, a2), m) in grid.iter().zip(&results) {
+            csv.row_strs(&[
+                model.name().into(),
+                a1.to_string(),
+                a2.to_string(),
+                format!("{:.4}", m.acc),
+                format!("{:.4}", m.nmi),
+                format!("{:.4}", m.ari),
+            ])
+            .expect("csv row");
+            rows.push(vec![
+                format!("R-{}", model.name()),
+                a1.to_string(),
+                a2.to_string(),
+                pct(m.acc),
+                pct(m.nmi),
+                pct(m.ari),
+            ]);
         }
     }
     csv.finish().expect("csv flush");

@@ -4,13 +4,10 @@
 //! Correction = Ξ delayed by {10, 30, 50, 100, …} epochs so FR occurs first.
 //! The paper's finding: protection wins and longer delays generally hurt.
 
-use rgae_core::RTrainer;
-use rgae_linalg::Rng64;
-use rgae_models::TrainData;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    bin_name, emit_run_start, pct, print_table, rconfig_for_opts, DatasetKind, HarnessOpts,
-    ModelKind,
+    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
 fn main() {
@@ -19,7 +16,6 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = TrainData::from_graph(&graph);
     let delays: Vec<usize> = if opts.quick {
         vec![0, 10, 30]
     } else {
@@ -35,37 +31,25 @@ fn main() {
 
     for model in ModelKind::second_group() {
         let base_cfg = rconfig_for_opts(model, dataset, &opts);
-        // Shared pretraining across all delay variants.
-        let mut rng = Rng64::seed_from_u64(opts.seed);
-        let trainer = RTrainer::with_recorder(base_cfg.clone(), rec);
-        let mut pretrained = model.build(data.num_features(), graph.num_classes(), &mut rng);
-        trainer
-            .pretrain(pretrained.as_mut(), &data, &mut rng)
-            .unwrap();
+        let variants = delays
+            .iter()
+            .map(|&delay| {
+                let mut cfg = base_cfg.clone();
+                cfg.delay_xi = delay;
+                // Delayed runs must not converge before Ξ even starts.
+                cfg.min_epochs = cfg.min_epochs.max(delay + base_cfg.m1);
+                cfg.max_epochs = cfg.max_epochs.max(delay + base_cfg.m1 + 20);
+                SweepVariant {
+                    label: format!("delay={delay}"),
+                    cfg,
+                    seed: opts.seed ^ 0xD11A ^ delay as u64,
+                }
+            })
+            .collect();
+        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
 
         let mut row = vec![format!("R-{}", model.name())];
-        for &delay in &delays {
-            let mut cfg = base_cfg.clone();
-            cfg.delay_xi = delay;
-            // Delayed runs must not converge before Ξ even starts.
-            cfg.min_epochs = cfg.min_epochs.max(delay + base_cfg.m1);
-            cfg.max_epochs = cfg.max_epochs.max(delay + base_cfg.m1 + 20);
-            let mut variant = pretrained.clone_box();
-            let mut rng_v = Rng64::seed_from_u64(opts.seed ^ 0xD11A ^ delay as u64);
-            emit_run_start(
-                rec,
-                &bin_name(),
-                model.name(),
-                dataset.name(),
-                &format!("r-delay={delay}"),
-                opts.seed,
-                &cfg,
-            );
-            let report = RTrainer::with_recorder(cfg, rec)
-                .train_clustering_phase(variant.as_mut(), &graph, &data, &mut rng_v)
-                .unwrap();
-            let m = report.final_metrics;
-            eprintln!("  {} delay {delay}: {m}", model.name());
+        for (delay, m) in delays.iter().zip(&results) {
             csv.row_strs(&[
                 model.name().into(),
                 delay.to_string(),

@@ -4,13 +4,11 @@
 //! phase (eliminating reconstruction's general-purpose signal at once).
 //! Correction = the paper's gradual rewrite. Finding: correction wins.
 
-use rgae_core::{FdMode, RTrainer};
-use rgae_linalg::Rng64;
-use rgae_models::TrainData;
+use rgae_core::FdMode;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    bin_name, emit_run_start, pct, print_table, rconfig_for_opts, DatasetKind, HarnessOpts,
-    ModelKind,
+    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
 fn main() {
@@ -19,7 +17,10 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = TrainData::from_graph(&graph);
+    let modes = [
+        (FdMode::SingleStepProtection, "protection"),
+        (FdMode::GradualCorrection, "correction"),
+    ];
 
     let mut rows = Vec::new();
     let mut csv = CsvWriter::create(
@@ -30,39 +31,25 @@ fn main() {
 
     for model in ModelKind::second_group() {
         let base_cfg = rconfig_for_opts(model, dataset, &opts);
-        let mut rng = Rng64::seed_from_u64(opts.seed);
-        let trainer = RTrainer::with_recorder(base_cfg.clone(), rec);
-        let mut pretrained = model.build(data.num_features(), graph.num_classes(), &mut rng);
-        trainer
-            .pretrain(pretrained.as_mut(), &data, &mut rng)
-            .unwrap();
+        let variants = modes
+            .iter()
+            .map(|&(mode, label)| {
+                let mut cfg = base_cfg.clone();
+                cfg.fd_mode = mode;
+                SweepVariant {
+                    label: label.into(),
+                    cfg,
+                    seed: opts.seed ^ 0xF0,
+                }
+            })
+            .collect();
+        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
 
         let mut row = vec![format!("R-{}", model.name())];
-        for (mode, label) in [
-            (FdMode::SingleStepProtection, "protection"),
-            (FdMode::GradualCorrection, "correction"),
-        ] {
-            let mut cfg = base_cfg.clone();
-            cfg.fd_mode = mode;
-            let mut variant = pretrained.clone_box();
-            let mut rng_v = Rng64::seed_from_u64(opts.seed ^ 0xF0);
-            emit_run_start(
-                rec,
-                &bin_name(),
-                model.name(),
-                dataset.name(),
-                &format!("r-{label}"),
-                opts.seed,
-                &cfg,
-            );
-            let report = RTrainer::with_recorder(cfg, rec)
-                .train_clustering_phase(variant.as_mut(), &graph, &data, &mut rng_v)
-                .unwrap();
-            let m = report.final_metrics;
-            eprintln!("  {} {label}: {m}", model.name());
+        for ((_, label), m) in modes.iter().zip(&results) {
             csv.row_strs(&[
                 model.name().into(),
-                label.into(),
+                (*label).into(),
                 format!("{:.4}", m.acc),
                 format!("{:.4}", m.nmi),
                 format!("{:.4}", m.ari),

@@ -1,13 +1,10 @@
 //! Table 9: ablation of Υ's "add_edge" and "drop_edge" operations on
 //! cora-like. Four variants: no dropping, no adding, neither (no Υ), full.
 
-use rgae_core::RTrainer;
-use rgae_linalg::Rng64;
-use rgae_models::TrainData;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    bin_name, emit_run_start, pct, print_table, rconfig_for_opts, DatasetKind, HarnessOpts,
-    ModelKind,
+    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
 fn main() {
@@ -16,7 +13,12 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = TrainData::from_graph(&graph);
+    let ablations = [
+        ("ablate drop_edge", true, false, true),
+        ("ablate add_edge", false, true, true),
+        ("ablate both", false, false, false),
+        ("no ablation", true, true, true),
+    ];
 
     let mut rows = Vec::new();
     let mut csv = CsvWriter::create(
@@ -27,43 +29,27 @@ fn main() {
 
     for model in ModelKind::second_group() {
         let base_cfg = rconfig_for_opts(model, dataset, &opts);
-        let mut rng = Rng64::seed_from_u64(opts.seed);
-        let trainer = RTrainer::with_recorder(base_cfg.clone(), rec);
-        let mut pretrained = model.build(data.num_features(), graph.num_classes(), &mut rng);
-        trainer
-            .pretrain(pretrained.as_mut(), &data, &mut rng)
-            .unwrap();
+        let variants = ablations
+            .iter()
+            .map(|&(label, add, drop, use_upsilon)| {
+                let mut cfg = base_cfg.clone();
+                cfg.upsilon.add_edges = add;
+                cfg.upsilon.drop_edges = drop;
+                cfg.use_upsilon = use_upsilon;
+                SweepVariant {
+                    label: label.replace(' ', "_"),
+                    cfg,
+                    seed: opts.seed ^ 0x9,
+                }
+            })
+            .collect();
+        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
 
         let mut row = vec![format!("R-{}", model.name())];
-        for (label, add, drop, use_upsilon) in [
-            ("ablate drop_edge", true, false, true),
-            ("ablate add_edge", false, true, true),
-            ("ablate both", false, false, false),
-            ("no ablation", true, true, true),
-        ] {
-            let mut cfg = base_cfg.clone();
-            cfg.upsilon.add_edges = add;
-            cfg.upsilon.drop_edges = drop;
-            cfg.use_upsilon = use_upsilon;
-            let mut variant = pretrained.clone_box();
-            let mut rng_v = Rng64::seed_from_u64(opts.seed ^ 0x9);
-            emit_run_start(
-                rec,
-                &bin_name(),
-                model.name(),
-                dataset.name(),
-                &format!("r-{}", label.replace(' ', "_")),
-                opts.seed,
-                &cfg,
-            );
-            let report = RTrainer::with_recorder(cfg, rec)
-                .train_clustering_phase(variant.as_mut(), &graph, &data, &mut rng_v)
-                .unwrap();
-            let m = report.final_metrics;
-            eprintln!("  {} {label}: {m}", model.name());
+        for ((label, ..), m) in ablations.iter().zip(&results) {
             csv.row_strs(&[
                 model.name().into(),
-                label.into(),
+                (*label).into(),
                 format!("{:.4}", m.acc),
                 format!("{:.4}", m.nmi),
                 format!("{:.4}", m.ari),

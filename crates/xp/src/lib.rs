@@ -533,6 +533,73 @@ pub fn run_pair(
     PairOutcome { plain, r }
 }
 
+/// One configuration of an ablation sweep (see [`sweep_variants`]).
+pub struct SweepVariant {
+    /// Run label; the run-log variant and checkpoint key are `r-<label>`.
+    pub label: String,
+    /// The variant's full configuration.
+    pub cfg: RConfig,
+    /// Seed of the variant's clustering-phase RNG stream.
+    pub seed: u64,
+}
+
+/// The ablation protocol of Tables 6–9 and Figs. 11–12: pretrain `model`
+/// once (seeded by `--seed`), then run the R clustering phase of every
+/// variant on a clone of the pretrained weights. Each variant is logged as
+/// its own run and, with `--checkpoint-dir`, checkpointed into its own
+/// `r-<label>` directory. Returns the final metrics in variant order.
+///
+/// The shared pretrain is not checkpointed: it is deterministic, and
+/// [`RTrainer::pretrain`] returns early on a clustering-phase state without
+/// importing its parameters, so a checkpointed shared pretrain would hand
+/// variants that never started untrained weights.
+pub fn sweep_variants(
+    opts: &HarnessOpts,
+    rec: &dyn Recorder,
+    model: ModelKind,
+    dataset: DatasetKind,
+    graph: &AttributedGraph,
+    base_cfg: &RConfig,
+    variants: Vec<SweepVariant>,
+) -> Vec<Metrics> {
+    let binary = bin_name();
+    let data = TrainData::from_graph(graph);
+    let mut rng = Rng64::seed_from_u64(opts.seed);
+    let mut pretrained = model.build(data.num_features(), graph.num_classes(), &mut rng);
+    RTrainer::with_recorder(base_cfg.clone(), rec)
+        .pretrain(pretrained.as_mut(), &data, &mut rng)
+        .unwrap();
+    variants
+        .into_iter()
+        .map(|v| {
+            let run = format!("r-{}", v.label);
+            emit_run_start(
+                rec,
+                &binary,
+                model.name(),
+                dataset.name(),
+                &run,
+                opts.seed,
+                &v.cfg,
+            );
+            let mut trainer = RTrainer::with_recorder(v.cfg, rec);
+            if let Some(ckpt) =
+                opts.ckpt_for(&binary, dataset.name(), model.name(), &run, opts.seed)
+            {
+                trainer = trainer.with_checkpoints(ckpt);
+            }
+            let mut variant = pretrained.clone_box();
+            let mut rng_v = Rng64::seed_from_u64(v.seed);
+            let m = trainer
+                .train_clustering_phase(variant.as_mut(), graph, &data, &mut rng_v)
+                .unwrap()
+                .final_metrics;
+            eprintln!("  R-{} {}: {m}", model.name(), v.label);
+            m
+        })
+        .collect()
+}
+
 /// Mean and (population) standard deviation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
