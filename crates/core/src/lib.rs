@@ -11,12 +11,12 @@
 //! use rgae_core::{RConfig, RTrainer};
 //! use rgae_datasets::presets::cora_like;
 //! use rgae_linalg::Rng64;
-//! use rgae_models::{Dgae, TrainData};
+//! use rgae_models::{ComposedModel, TrainData};
 //!
 //! let graph = cora_like(0.25, 7).unwrap();
 //! let data = TrainData::from_graph(&graph);
 //! let mut rng = Rng64::seed_from_u64(0);
-//! let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+//! let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
 //! let report = RTrainer::new(RConfig::for_dataset("cora-like"))
 //!     .train(&mut model, &graph, &mut rng)
 //!     .unwrap();

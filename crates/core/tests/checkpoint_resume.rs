@@ -11,7 +11,7 @@ use rgae_core::{
     train_plain, train_plain_ckpt, CheckpointOpts, Error, PlainReport, RConfig, RReport, RTrainer,
 };
 use rgae_linalg::Rng64;
-use rgae_models::{Dgae, TrainData};
+use rgae_models::{ComposedModel, TrainData};
 use rgae_obs::{Event, MemorySink, Recorder, NOOP};
 
 /// Short run with a deterministic save schedule: no early convergence
@@ -38,7 +38,7 @@ fn run_r(
     let graph = test_graph(SEED);
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(SEED);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     let mut trainer = RTrainer::with_recorder(cfg.clone(), rec);
     if let Some(opts) = ckpt {
         trainer = trainer.with_checkpoints(opts);
@@ -50,7 +50,7 @@ fn run_plain(cfg: &RConfig, ckpt: Option<&CheckpointOpts>) -> Result<PlainReport
     let graph = test_graph(SEED);
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(SEED);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     train_plain_ckpt(&mut model, &graph, cfg, &mut rng, &NOOP, ckpt)
 }
 
@@ -147,7 +147,7 @@ fn plain_halt_and_resume_matches_uninterrupted() {
         let graph = test_graph(SEED);
         let data = TrainData::from_graph(&graph);
         let mut rng = Rng64::seed_from_u64(SEED);
-        let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+        let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
         train_plain(&mut model, &graph, &cfg, &mut rng).unwrap()
     };
     let mut halts = 0;

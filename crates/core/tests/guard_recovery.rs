@@ -14,7 +14,7 @@ use rgae_core::{
     RTrainer,
 };
 use rgae_linalg::Rng64;
-use rgae_models::{Dgae, TrainData};
+use rgae_models::{ComposedModel, TrainData};
 use rgae_obs::{Event, MemorySink, Recorder, NOOP};
 
 /// Same deterministic schedule as the checkpoint tests: no early convergence
@@ -49,7 +49,7 @@ fn run_r(
     let graph = test_graph(SEED);
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(SEED);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     let mut trainer = RTrainer::with_recorder(cfg.clone(), rec);
     if let Some(opts) = ckpt {
         trainer = trainer.with_checkpoints(opts);
@@ -65,7 +65,7 @@ fn run_plain(
     let graph = test_graph(SEED);
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(SEED);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     train_plain_ckpt(&mut model, &graph, cfg, &mut rng, rec, ckpt)
 }
 

@@ -7,7 +7,7 @@ mod common;
 use common::{assert_metrics_bits_eq, test_graph};
 use rgae_core::{train_plain, FdMode, RConfig, RTrainer};
 use rgae_linalg::Rng64;
-use rgae_models::{Dgae, Gae, GaeModel, GmmVgae, TrainData};
+use rgae_models::{ComposedModel, GaeModel, TrainData};
 
 fn quick_cfg() -> RConfig {
     let mut cfg = RConfig::for_dataset("cora-like").quick();
@@ -21,7 +21,7 @@ fn r_dgae_runs_and_reports() {
     let g = test_graph(1);
     let mut rng = Rng64::seed_from_u64(1);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let report = RTrainer::new(quick_cfg())
         .train(&mut model, &g, &mut rng)
         .unwrap();
@@ -43,7 +43,7 @@ fn omega_grows_and_is_purer_than_rest() {
     let g = test_graph(2);
     let mut rng = Rng64::seed_from_u64(2);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.max_epochs = 80;
     let report = RTrainer::new(cfg).train(&mut model, &g, &mut rng).unwrap();
@@ -94,7 +94,7 @@ fn r_beats_plain_from_shared_pretraining() {
         let mut rng = Rng64::seed_from_u64(100 + seed);
         let cfg = quick_cfg();
         let trainer = RTrainer::new(cfg.clone());
-        let mut base = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+        let mut base = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
         trainer.pretrain(&mut base, &data, &mut rng).unwrap();
 
         let mut plain_model = base.clone();
@@ -129,7 +129,7 @@ fn first_group_r_variant_trains() {
     let g = test_graph(3);
     let mut rng = Rng64::seed_from_u64(3);
     let data = TrainData::from_graph(&g);
-    let mut model = Gae::new(data.num_features(), &mut rng);
+    let mut model = ComposedModel::gae(data.num_features(), &mut rng);
     let report = RTrainer::new(quick_cfg())
         .train(&mut model, &g, &mut rng)
         .unwrap();
@@ -147,7 +147,7 @@ fn diagnostics_are_recorded_and_bounded() {
     let g = test_graph(4);
     let mut rng = Rng64::seed_from_u64(4);
     let data = TrainData::from_graph(&g);
-    let mut model = GmmVgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::gmm_vgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.track_diagnostics = true;
     cfg.max_epochs = 15;
@@ -185,7 +185,7 @@ fn xi_ablation_keeps_omega_full() {
     let g = test_graph(5);
     let mut rng = Rng64::seed_from_u64(5);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.use_xi = false;
     cfg.max_epochs = 20;
@@ -200,7 +200,7 @@ fn upsilon_ablation_keeps_graph_static() {
     let g = test_graph(6);
     let mut rng = Rng64::seed_from_u64(6);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.use_upsilon = false;
     cfg.max_epochs = 20;
@@ -217,7 +217,7 @@ fn single_step_protection_mode_runs() {
     let g = test_graph(7);
     let mut rng = Rng64::seed_from_u64(7);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.fd_mode = FdMode::SingleStepProtection;
     cfg.max_epochs = 20;
@@ -237,7 +237,7 @@ fn delayed_xi_starts_with_full_omega() {
     let g = test_graph(8);
     let mut rng = Rng64::seed_from_u64(8);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.delay_xi = 10;
     cfg.m1 = 5;
@@ -262,7 +262,7 @@ fn upsilon_moves_graph_towards_clustering_structure() {
     let g = test_graph(9);
     let mut rng = Rng64::seed_from_u64(9);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.max_epochs = 60;
     cfg.min_epochs = 60;
@@ -291,7 +291,7 @@ fn plain_trainer_tracks_diagnostics_too() {
     let g = test_graph(11);
     let mut rng = Rng64::seed_from_u64(11);
     let data = TrainData::from_graph(&g);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
     cfg.track_diagnostics = true;
     cfg.pretrain_epochs = 40;
@@ -313,12 +313,14 @@ fn plain_equals_r_with_operators_off() {
     type Build = fn(&TrainData, usize, &mut Rng64) -> Box<dyn GaeModel>;
     let models: [(&str, Build); 3] = [
         ("DGAE", |d, k, rng| {
-            Box::new(Dgae::new(d.num_features(), k, rng))
+            Box::new(ComposedModel::dgae(d.num_features(), k, rng))
         }),
         ("GMM-VGAE", |d, k, rng| {
-            Box::new(GmmVgae::new(d.num_features(), k, rng))
+            Box::new(ComposedModel::gmm_vgae(d.num_features(), k, rng))
         }),
-        ("GAE", |d, _, rng| Box::new(Gae::new(d.num_features(), rng))),
+        ("GAE", |d, _, rng| {
+            Box::new(ComposedModel::gae(d.num_features(), rng))
+        }),
     ];
     let g = test_graph(23);
     let data = TrainData::from_graph(&g);

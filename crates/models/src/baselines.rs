@@ -13,8 +13,9 @@
 //!   matrix-factorisation family (TADW): top-d eigenvectors of the
 //!   normalised adjacency by orthogonal (subspace) iteration + k-means.
 //! * [`daegc_lite_data`] — DAEGC's attention is approximated by a fixed
-//!   2-hop proximity filter `(Ã + Ã²)/2`; training then reuses [`crate::Dgae`]
-//!   (GCN + DEC head + reconstruction), which matches DAEGC's loss.
+//!   2-hop proximity filter `(Ã + Ã²)/2`; training then reuses
+//!   [`crate::ComposedModel::dgae`] (GCN + DEC head + reconstruction), which
+//!   matches DAEGC's loss.
 
 use std::rc::Rc;
 
@@ -115,7 +116,7 @@ fn gram_schmidt(q: &mut Mat) {
 
 /// Training data for DAEGC-lite: identical to [`TrainData::from_graph`] but
 /// with the 2-hop proximity filter `(Ã + Ã²)/2` standing in for DAEGC's
-/// learned attention. Feed the result to [`crate::Dgae`].
+/// learned attention. Feed the result to [`crate::ComposedModel::dgae`].
 pub fn daegc_lite_data(graph: &AttributedGraph) -> TrainData {
     let mut data = TrainData::from_graph(graph);
     let a1 = data.filter.to_dense();

@@ -27,11 +27,6 @@ impl GcnEncoder {
         GcnEncoder { weights }
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Immutable parameter views, in canonical order.
     pub fn params(&self) -> Vec<&Mat> {
         self.weights.iter().collect()

@@ -1,21 +1,25 @@
 //! GAE-family attributed-graph clustering models.
 //!
-//! The paper's experimental protocol covers six models. Following its §2
-//! taxonomy:
+//! Each of the paper's six models is a [`ComposedModel`]: an encoder, an
+//! optional adversarial discriminator and a clustering head. In the paper's
+//! §2 taxonomy the first group learns the embedding alone and reads
+//! clusters out post hoc with k-means; the second group clusters jointly
+//! through its head.
 //!
-//! * **First group** (embedding learnt separately from clustering):
-//!   [`Gae`], [`Vgae`], [`Argae`], [`Arvgae`]. These optimise only
-//!   self-supervision (reconstruction, optionally adversarially
-//!   regularised); clusters are read out post-hoc with k-means.
-//! * **Second group** (joint clustering + embedding): [`Dgae`]
-//!   (Appendix B's Discriminative GAE, a DEC-style Student-t head) and
-//!   [`GmmVgae`] (a VGAE with a Gaussian-mixture latent head).
+//! | constructor                 | model    | encoder     | adversary | head      | group  |
+//! |-----------------------------|----------|-------------|-----------|-----------|--------|
+//! | [`ComposedModel::gae`]      | GAE      | GCN         | –         | –         | first  |
+//! | [`ComposedModel::vgae`]     | VGAE     | variational | –         | –         | first  |
+//! | [`ComposedModel::argae`]    | ARGAE    | GCN         | MLP       | –         | first  |
+//! | [`ComposedModel::arvgae`]   | ARVGAE   | variational | MLP       | –         | first  |
+//! | [`ComposedModel::dgae`]     | DGAE     | GCN         | –         | DEC       | second |
+//! | [`ComposedModel::gmm_vgae`] | GMM-VGAE | variational | –         | GMM       | second |
 //!
-//! All models implement [`GaeModel`], the surface the R-trainer
-//! (`rgae-core`) drives: deterministic embedding, soft assignments, a
-//! configurable training step whose reconstruction target and clustering
-//! scope can be overridden (that is exactly where Ξ and Υ plug in), and raw
-//! encoder-gradient accessors for the Λ_FR / Λ_FD diagnostics.
+//! [`GaeModel`] is the surface the R-trainer (`rgae-core`) drives:
+//! deterministic embedding, soft assignments, a configurable training step
+//! whose reconstruction target and clustering scope can be overridden (that
+//! is exactly where Ξ and Υ plug in), and raw encoder-gradient accessors for
+//! the Λ_FR / Λ_FD diagnostics.
 //!
 //! [`baselines`] adds the simpler comparison methods used in the paper's
 //! Table 17.
@@ -31,7 +35,7 @@ mod models;
 
 pub use data::TrainData;
 pub use encoder::{GcnEncoder, Mlp, VarGcnEncoder};
-pub use models::{Argae, Arvgae, Dgae, Gae, GmmVgae, Vgae};
+pub use models::ComposedModel;
 pub use rgae_ckpt::ModelState;
 
 use rgae_linalg::{Mat, Rng64};

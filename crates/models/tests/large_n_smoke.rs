@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use rgae_graph::AttributedGraph;
 use rgae_linalg::{Mat, Rng64};
-use rgae_models::{Gae, GaeModel, StepSpec, TrainData};
+use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
 
 const N: usize = 6000;
 
@@ -46,7 +46,7 @@ fn fused_decoder_trains_at_n_6000() {
     let graph = big_graph();
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(9);
-    let mut model = Gae::new(data.num_features(), &mut rng);
+    let mut model = ComposedModel::gae(data.num_features(), &mut rng);
     let spec = StepSpec::pretrain(Rc::clone(&data.adjacency));
     let mut losses = Vec::new();
     for _ in 0..3 {

@@ -14,9 +14,7 @@ use std::rc::Rc;
 use rgae_ckpt::ByteWriter;
 use rgae_datasets::{citation_like, CitationSpec};
 use rgae_linalg::{Csr, Mat, Rng64};
-use rgae_models::{
-    Argae, Arvgae, ClusterStep, Dgae, Gae, GaeModel, GmmVgae, StepSpec, TrainData, Vgae,
-};
+use rgae_models::{ClusterStep, ComposedModel, GaeModel, StepSpec, TrainData};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -214,12 +212,12 @@ fn actual() -> Vec<Golden> {
     let k = data.num_classes;
     type Build = fn(usize, usize, &mut Rng64) -> Box<dyn GaeModel>;
     let builders: [Build; 6] = [
-        |f, _, r| Box::new(Gae::new(f, r)),
-        |f, _, r| Box::new(Vgae::new(f, r)),
-        |f, _, r| Box::new(Argae::new(f, r)),
-        |f, _, r| Box::new(Arvgae::new(f, r)),
-        |f, k, r| Box::new(Dgae::new(f, k, r)),
-        |f, k, r| Box::new(GmmVgae::new(f, k, r)),
+        |f, _, r| Box::new(ComposedModel::gae(f, r)),
+        |f, _, r| Box::new(ComposedModel::vgae(f, r)),
+        |f, _, r| Box::new(ComposedModel::argae(f, r)),
+        |f, _, r| Box::new(ComposedModel::arvgae(f, r)),
+        |f, k, r| Box::new(ComposedModel::dgae(f, k, r)),
+        |f, k, r| Box::new(ComposedModel::gmm_vgae(f, k, r)),
     ];
     builders
         .iter()

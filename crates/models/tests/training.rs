@@ -8,9 +8,7 @@ use rgae_cluster::{accuracy, kmeans};
 use rgae_datasets::{citation_like, CitationSpec};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::{cosine, Csr, Rng64};
-use rgae_models::{
-    Argae, Arvgae, ClusterStep, Dgae, Gae, GaeModel, GmmVgae, StepSpec, TrainData, Vgae,
-};
+use rgae_models::{ClusterStep, ComposedModel, GaeModel, StepSpec, TrainData};
 
 fn small_graph(seed: u64) -> AttributedGraph {
     citation_like(
@@ -53,7 +51,7 @@ fn gae_pretraining_reduces_loss_and_clusters() {
     let g = small_graph(1);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(1);
-    let mut model = Gae::new(data.num_features(), &mut rng);
+    let mut model = ComposedModel::gae(data.num_features(), &mut rng);
     let losses = pretrain(&mut model, &data, 80, &mut rng);
     assert!(losses.iter().all(|l| l.is_finite()));
     assert!(
@@ -72,7 +70,7 @@ fn vgae_pretraining_reduces_loss() {
     let g = small_graph(2);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(2);
-    let mut model = Vgae::new(data.num_features(), &mut rng);
+    let mut model = ComposedModel::vgae(data.num_features(), &mut rng);
     let losses = pretrain(&mut model, &data, 80, &mut rng);
     assert!(losses.last().unwrap() < &losses[0]);
     let z = model.embed(&data);
@@ -86,8 +84,8 @@ fn argae_and_arvgae_train_stably() {
     let g = small_graph(3);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(3);
-    let mut a = Argae::new(data.num_features(), &mut rng);
-    let mut av = Arvgae::new(data.num_features(), &mut rng);
+    let mut a = ComposedModel::argae(data.num_features(), &mut rng);
+    let mut av = ComposedModel::arvgae(data.num_features(), &mut rng);
     let la = pretrain(&mut a, &data, 50, &mut rng);
     let lv = pretrain(&mut av, &data, 50, &mut rng);
     assert!(la.iter().chain(lv.iter()).all(|l| l.is_finite()));
@@ -104,7 +102,7 @@ fn first_group_rejects_cluster_steps() {
     let g = small_graph(4);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(4);
-    let mut model = Gae::new(data.num_features(), &mut rng);
+    let mut model = ComposedModel::gae(data.num_features(), &mut rng);
     let spec = StepSpec {
         recon_target: Some(Rc::clone(&data.adjacency)),
         gamma: 1.0,
@@ -125,7 +123,7 @@ fn dgae_requires_init_then_improves() {
     let g = small_graph(5);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(5);
-    let mut model = Dgae::new(data.num_features(), 3, &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), 3, &mut rng);
 
     // Cluster step before init must fail.
     let bad = StepSpec {
@@ -172,7 +170,7 @@ fn gmm_vgae_trains_jointly() {
     let g = small_graph(6);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(6);
-    let mut model = GmmVgae::new(data.num_features(), 3, &mut rng);
+    let mut model = ComposedModel::gmm_vgae(data.num_features(), 3, &mut rng);
     pretrain(&mut model, &data, 80, &mut rng);
     model.init_clustering(&data, &mut rng).unwrap();
     let acc_before = accuracy(
@@ -208,7 +206,7 @@ fn omega_restriction_changes_clustering_grad() {
     let g = small_graph(7);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(7);
-    let mut model = Dgae::new(data.num_features(), 3, &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), 3, &mut rng);
     pretrain(&mut model, &data, 30, &mut rng);
     model.init_clustering(&data, &mut rng).unwrap();
     let target = model.cluster_target(&data).unwrap().unwrap();
@@ -232,7 +230,7 @@ fn recon_grad_depends_on_target() {
     let g = small_graph(8);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(8);
-    let mut model = Dgae::new(data.num_features(), 3, &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), 3, &mut rng);
     pretrain(&mut model, &data, 20, &mut rng);
     let grad_a = model.recon_grad(&data, &data.adjacency).unwrap();
     // Same target → identical gradient (determinism).
@@ -251,11 +249,11 @@ fn second_group_beats_first_group_on_easy_data() {
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(9);
 
-    let mut gae = Gae::new(data.num_features(), &mut rng);
+    let mut gae = ComposedModel::gae(data.num_features(), &mut rng);
     pretrain(&mut gae, &data, 60, &mut rng);
     let acc_first = kmeans_acc(&gae.embed(&data), g.labels(), 3, &mut rng);
 
-    let mut dgae = Dgae::new(data.num_features(), 3, &mut rng);
+    let mut dgae = ComposedModel::dgae(data.num_features(), 3, &mut rng);
     pretrain(&mut dgae, &data, 60, &mut rng);
     dgae.init_clustering(&data, &mut rng).unwrap();
     for _ in 0..50 {
@@ -287,7 +285,7 @@ fn xi_assignments_share_argmax_with_soft_assignments() {
     let g = small_graph(10);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(10);
-    let mut model = GmmVgae::new(data.num_features(), 3, &mut rng);
+    let mut model = ComposedModel::gmm_vgae(data.num_features(), 3, &mut rng);
     pretrain(&mut model, &data, 40, &mut rng);
     model.init_clustering(&data, &mut rng).unwrap();
     let soft = model.soft_assignments(&data).unwrap().unwrap();
@@ -308,7 +306,7 @@ fn dgae_xi_assignments_default_to_soft() {
     let g = small_graph(11);
     let data = TrainData::from_graph(&g);
     let mut rng = Rng64::seed_from_u64(11);
-    let mut model = Dgae::new(data.num_features(), 3, &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), 3, &mut rng);
     pretrain(&mut model, &data, 30, &mut rng);
     model.init_clustering(&data, &mut rng).unwrap();
     let a = model.soft_assignments(&data).unwrap().unwrap();
@@ -326,24 +324,27 @@ fn export_import_round_trip_all_models() {
     let builders: Vec<(&str, ModelBuilder)> = vec![
         (
             "GAE",
-            Box::new(|r: &mut Rng64| Box::new(Gae::new(80, r)) as Box<dyn GaeModel>),
+            Box::new(|r: &mut Rng64| Box::new(ComposedModel::gae(80, r)) as Box<dyn GaeModel>),
         ),
-        ("VGAE", Box::new(|r: &mut Rng64| Box::new(Vgae::new(80, r)))),
+        (
+            "VGAE",
+            Box::new(|r: &mut Rng64| Box::new(ComposedModel::vgae(80, r))),
+        ),
         (
             "ARGAE",
-            Box::new(|r: &mut Rng64| Box::new(Argae::new(80, r))),
+            Box::new(|r: &mut Rng64| Box::new(ComposedModel::argae(80, r))),
         ),
         (
             "ARVGAE",
-            Box::new(|r: &mut Rng64| Box::new(Arvgae::new(80, r))),
+            Box::new(|r: &mut Rng64| Box::new(ComposedModel::arvgae(80, r))),
         ),
         (
             "DGAE",
-            Box::new(|r: &mut Rng64| Box::new(Dgae::new(80, 3, r))),
+            Box::new(|r: &mut Rng64| Box::new(ComposedModel::dgae(80, 3, r))),
         ),
         (
             "GMM-VGAE",
-            Box::new(|r: &mut Rng64| Box::new(GmmVgae::new(80, 3, r))),
+            Box::new(|r: &mut Rng64| Box::new(ComposedModel::gmm_vgae(80, 3, r))),
         ),
     ];
     for (name, build) in &builders {
@@ -384,12 +385,12 @@ fn export_import_round_trip_all_models() {
 #[test]
 fn import_rejects_wrong_model_state() {
     let mut rng = Rng64::seed_from_u64(5);
-    let gae = Gae::new(80, &mut rng);
-    let mut vgae = Vgae::new(80, &mut rng);
+    let gae = ComposedModel::gae(80, &mut rng);
+    let mut vgae = ComposedModel::vgae(80, &mut rng);
     assert!(vgae.import_params(&gae.export_params()).is_err());
 
     // Same family, different architecture (feature width) must also fail.
-    let mut narrow = Gae::new(40, &mut rng);
+    let mut narrow = ComposedModel::gae(40, &mut rng);
     assert!(narrow.import_params(&gae.export_params()).is_err());
 }
 
@@ -399,12 +400,12 @@ fn scale_lr_and_grad_skip_counter_cover_every_model() {
     let data = TrainData::from_graph(&g);
     type ModelBuilder = Box<dyn Fn(&mut Rng64) -> Box<dyn GaeModel>>;
     let builders: Vec<ModelBuilder> = vec![
-        Box::new(|r: &mut Rng64| Box::new(Gae::new(80, r)) as Box<dyn GaeModel>),
-        Box::new(|r: &mut Rng64| Box::new(Vgae::new(80, r))),
-        Box::new(|r: &mut Rng64| Box::new(Argae::new(80, r))),
-        Box::new(|r: &mut Rng64| Box::new(Arvgae::new(80, r))),
-        Box::new(|r: &mut Rng64| Box::new(Dgae::new(80, 3, r))),
-        Box::new(|r: &mut Rng64| Box::new(GmmVgae::new(80, 3, r))),
+        Box::new(|r: &mut Rng64| Box::new(ComposedModel::gae(80, r)) as Box<dyn GaeModel>),
+        Box::new(|r: &mut Rng64| Box::new(ComposedModel::vgae(80, r))),
+        Box::new(|r: &mut Rng64| Box::new(ComposedModel::argae(80, r))),
+        Box::new(|r: &mut Rng64| Box::new(ComposedModel::arvgae(80, r))),
+        Box::new(|r: &mut Rng64| Box::new(ComposedModel::dgae(80, 3, r))),
+        Box::new(|r: &mut Rng64| Box::new(ComposedModel::gmm_vgae(80, 3, r))),
     ];
     let spec = StepSpec::pretrain(Rc::clone(&data.adjacency));
     for build in &builders {
@@ -452,5 +453,151 @@ fn scale_lr_and_grad_skip_counter_cover_every_model() {
                 .any(|(a, b)| a.to_bits() != b.to_bits()),
             "{name} unscaled twin should have trained"
         );
+    }
+}
+
+type Build = fn(&mut Rng64) -> Box<dyn GaeModel>;
+
+/// The six models on `small_graph`'s 80 features and 3 classes.
+const SIX: [Build; 6] = [
+    |r| Box::new(ComposedModel::gae(80, r)),
+    |r| Box::new(ComposedModel::vgae(80, r)),
+    |r| Box::new(ComposedModel::argae(80, r)),
+    |r| Box::new(ComposedModel::arvgae(80, r)),
+    |r| Box::new(ComposedModel::dgae(80, 3, r)),
+    |r| Box::new(ComposedModel::gmm_vgae(80, 3, r)),
+];
+
+fn state_bytes(model: &dyn GaeModel) -> Vec<u8> {
+    let mut w = rgae_ckpt::ByteWriter::new();
+    model.export_params().encode(&mut w);
+    w.into_bytes()
+}
+
+/// `recon_grad` is the gradient of the reconstruction loss alone: the
+/// variational encoder's `w_logvar` (the trailing 32×16 block) feeds only the
+/// KL term and the sample, so its gradient is exactly zero.
+#[test]
+fn variational_recon_grad_excludes_the_kl_term() {
+    let g = small_graph(22);
+    let data = TrainData::from_graph(&g);
+    for build in [SIX[1], SIX[3], SIX[5]] {
+        let mut rng = Rng64::seed_from_u64(22);
+        let mut model = build(&mut rng);
+        pretrain(model.as_mut(), &data, 5, &mut rng);
+        let grad = model.recon_grad(&data, &data.adjacency).unwrap();
+        let (head, w_logvar) = grad.split_at(grad.len() - 32 * 16);
+        let name = model.name();
+        assert!(w_logvar.iter().all(|&v| v == 0.0), "{name} w_logvar grad");
+        assert!(head.iter().any(|&v| v != 0.0), "{name} trunk grad");
+    }
+}
+
+/// γ weights the reconstruction term only: the KL and adversarial terms
+/// keep weight one, so the loss is affine in γ with the other terms as its
+/// intercept.
+#[test]
+fn gamma_scales_only_the_reconstruction_term() {
+    let g = small_graph(23);
+    let data = TrainData::from_graph(&g);
+    for build in SIX {
+        let mut rng = Rng64::seed_from_u64(23);
+        let mut model = build(&mut rng);
+        pretrain(model.as_mut(), &data, 3, &mut rng);
+        let loss_at = |gamma: f64| {
+            let mut twin = model.clone();
+            let (words, spare) = rng.state();
+            let mut rng = Rng64::from_state(words, spare);
+            let spec = StepSpec {
+                gamma,
+                ..StepSpec::pretrain(Rc::clone(&data.adjacency))
+            };
+            twin.train_step(&data, &spec, &mut rng).unwrap()
+        };
+        let (l0, l1, lh) = (loss_at(0.0), loss_at(1.0), loss_at(0.5));
+        let name = model.name();
+        let affine = l0 + 0.5 * (l1 - l0);
+        assert!(
+            (lh - affine).abs() <= 1e-12 * l1.abs(),
+            "{name}: {lh} vs {affine}"
+        );
+        if name == "GAE" || name == "DGAE" {
+            assert_eq!(l0, 0.0, "{name} has no other term");
+        } else {
+            assert!(l0 > 0.0, "{name} lost its KL/adversarial term at γ=0");
+        }
+    }
+}
+
+/// A step without a clustering term leaves the head and its Adam slots
+/// untouched, even after clustering steps have given them momentum.
+#[test]
+fn recon_only_step_leaves_the_head_alone() {
+    let g = small_graph(24);
+    let data = TrainData::from_graph(&g);
+    for (build, keys) in [
+        (SIX[4], &["centroids"][..]),
+        (SIX[5], &["mix_means", "mix_logvars"][..]),
+    ] {
+        let mut rng = Rng64::seed_from_u64(24);
+        let mut model = build(&mut rng);
+        pretrain(model.as_mut(), &data, 5, &mut rng);
+        model.init_clustering(&data, &mut rng).unwrap();
+        for _ in 0..3 {
+            let spec = StepSpec {
+                recon_target: Some(Rc::clone(&data.adjacency)),
+                gamma: 0.001,
+                cluster: Some(ClusterStep {
+                    target: model.cluster_target(&data).unwrap().unwrap(),
+                    omega: None,
+                }),
+            };
+            model.train_step(&data, &spec, &mut rng).unwrap();
+        }
+        let head = |m: &dyn GaeModel| {
+            let st = m.export_params();
+            let opt = st.adam("opt").unwrap();
+            let slots = opt.m.len() - keys.len();
+            let mut bits: Vec<u64> = Vec::new();
+            for (i, key) in keys.iter().enumerate() {
+                for mat in [st.mat(key).unwrap(), &opt.m[slots + i], &opt.v[slots + i]] {
+                    bits.extend(mat.as_slice().iter().map(|x| x.to_bits()));
+                }
+            }
+            bits
+        };
+        let before = head(model.as_ref());
+        assert!(before.iter().any(|&b| b != 0), "head has momentum");
+        pretrain(model.as_mut(), &data, 2, &mut rng);
+        assert!(
+            head(model.as_ref()) == before,
+            "{} head moved",
+            model.name()
+        );
+    }
+}
+
+/// A step with neither a reconstruction target nor a clustering term is a
+/// no-op: loss 0, no parameter or optimiser change, no RNG draw.
+#[test]
+fn empty_step_is_a_no_op() {
+    let g = small_graph(25);
+    let data = TrainData::from_graph(&g);
+    let empty = StepSpec {
+        recon_target: None,
+        gamma: 1.0,
+        cluster: None,
+    };
+    for build in SIX {
+        let mut rng = Rng64::seed_from_u64(25);
+        let mut model = build(&mut rng);
+        pretrain(model.as_mut(), &data, 2, &mut rng);
+        let state = state_bytes(model.as_ref());
+        let rng_state = rng.state();
+        let loss = model.train_step(&data, &empty, &mut rng).unwrap();
+        let name = model.name();
+        assert_eq!(loss, 0.0, "{name}");
+        assert_eq!(rng.state(), rng_state, "{name} drew from the RNG");
+        assert!(state_bytes(model.as_ref()) == state, "{name} state changed");
     }
 }

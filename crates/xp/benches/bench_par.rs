@@ -17,24 +17,24 @@ use std::time::Instant;
 use rgae_core::{RConfig, RTrainer};
 use rgae_datasets::presets::cora_like;
 use rgae_linalg::Rng64;
-use rgae_models::{ClusterStep, Dgae, GaeModel, StepSpec, TrainData};
+use rgae_models::{ClusterStep, ComposedModel, GaeModel, StepSpec, TrainData};
 use rgae_obs::Json;
 
 const WARMUP_EPOCHS: usize = 2;
 const TIMED_EPOCHS: usize = 8;
 const EQUALITY_EPOCHS: usize = 4;
 
-fn prepared() -> (TrainData, Dgae, Rng64) {
+fn prepared() -> (TrainData, ComposedModel, Rng64) {
     let graph = cora_like(0.2, 1).unwrap();
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(1);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     let trainer = RTrainer::new(RConfig::for_dataset("cora-like").quick());
     trainer.pretrain(&mut model, &data, &mut rng).unwrap();
     (data, model, rng)
 }
 
-fn epoch(model: &mut Dgae, data: &TrainData, rng: &mut Rng64) -> f64 {
+fn epoch(model: &mut ComposedModel, data: &TrainData, rng: &mut Rng64) -> f64 {
     let target = model.cluster_target(data).unwrap().unwrap();
     let spec = StepSpec {
         recon_target: Some(Rc::clone(&data.adjacency)),

@@ -9,13 +9,13 @@ use rgae_core::soft_assignments_or_kmeans;
 use rgae_core::{upsilon, xi, RConfig, RTrainer, UpsilonConfig, XiConfig};
 use rgae_datasets::presets::cora_like;
 use rgae_linalg::Rng64;
-use rgae_models::{ClusterStep, Dgae, GaeModel, GmmVgae, StepSpec, TrainData};
+use rgae_models::{ClusterStep, ComposedModel, GaeModel, StepSpec, TrainData};
 
-fn prepared_dgae() -> (rgae_graph::AttributedGraph, TrainData, Dgae, Rng64) {
+fn prepared_dgae() -> (rgae_graph::AttributedGraph, TrainData, ComposedModel, Rng64) {
     let graph = cora_like(0.2, 1).unwrap();
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(1);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     let trainer = RTrainer::new(RConfig::for_dataset("cora-like").quick());
     trainer.pretrain(&mut model, &data, &mut rng).unwrap();
     (graph, data, model, rng)
@@ -79,7 +79,7 @@ fn bench_gmm_vgae_step(c: &mut Criterion) {
     let graph = cora_like(0.2, 2).unwrap();
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(2);
-    let mut model = GmmVgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::gmm_vgae(data.num_features(), graph.num_classes(), &mut rng);
     let trainer = RTrainer::new(RConfig::for_dataset("cora-like").quick());
     trainer.pretrain(&mut model, &data, &mut rng).unwrap();
     let mut group = c.benchmark_group("train_step");

@@ -7,7 +7,7 @@ use rgae_cluster::{accuracy, ari, nmi};
 use rgae_core::Metrics;
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{agc_lite, daegc_lite_data, mgae_lite, spectral_lite};
-use rgae_models::{Dgae, GaeModel, StepSpec, TrainData};
+use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
 use rgae_viz::CsvWriter;
 use rgae_xp::{
     best_metrics, pct, print_table, rconfig_for_opts, run_pair, DatasetKind, HarnessOpts, ModelKind,
@@ -25,7 +25,7 @@ fn metrics_of(pred: &[usize], truth: &[usize]) -> Metrics {
 fn run_daegc_lite(graph: &rgae_graph::AttributedGraph, epochs: usize, seed: u64) -> Metrics {
     let data: TrainData = daegc_lite_data(graph);
     let mut rng = Rng64::seed_from_u64(seed);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     let spec = StepSpec::pretrain(std::rc::Rc::clone(&data.adjacency));
     for _ in 0..epochs {
         model.train_step(&data, &spec, &mut rng).unwrap();

@@ -11,7 +11,7 @@ use rgae_core::{
 };
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
-use rgae_models::{Argae, Arvgae, Dgae, Gae, GaeModel, GmmVgae, TrainData, Vgae};
+use rgae_models::{ComposedModel, GaeModel, TrainData};
 use rgae_obs::{timestamp_ms, Event, JsonlSink, NoopRecorder, Recorder, RunManifest};
 
 /// Options shared by every experiment binary.
@@ -305,12 +305,12 @@ impl ModelKind {
     /// Instantiate the model for a dataset.
     pub fn build(&self, num_features: usize, k: usize, rng: &mut Rng64) -> Box<dyn GaeModel> {
         match self {
-            ModelKind::Gae => Box::new(Gae::new(num_features, rng)),
-            ModelKind::Vgae => Box::new(Vgae::new(num_features, rng)),
-            ModelKind::Argae => Box::new(Argae::new(num_features, rng)),
-            ModelKind::Arvgae => Box::new(Arvgae::new(num_features, rng)),
-            ModelKind::Dgae => Box::new(Dgae::new(num_features, k, rng)),
-            ModelKind::GmmVgae => Box::new(GmmVgae::new(num_features, k, rng)),
+            ModelKind::Gae => Box::new(ComposedModel::gae(num_features, rng)),
+            ModelKind::Vgae => Box::new(ComposedModel::vgae(num_features, rng)),
+            ModelKind::Argae => Box::new(ComposedModel::argae(num_features, rng)),
+            ModelKind::Arvgae => Box::new(ComposedModel::arvgae(num_features, rng)),
+            ModelKind::Dgae => Box::new(ComposedModel::dgae(num_features, k, rng)),
+            ModelKind::GmmVgae => Box::new(ComposedModel::gmm_vgae(num_features, k, rng)),
         }
     }
 
@@ -321,33 +321,8 @@ impl ModelKind {
         k: usize,
         rng: &mut Rng64,
     ) -> (Box<dyn GaeModel>, Box<dyn GaeModel>) {
-        // Cloning a trait object needs concrete types, so build per kind.
-        match self {
-            ModelKind::Gae => {
-                let m = Gae::new(num_features, rng);
-                (Box::new(m.clone()), Box::new(m))
-            }
-            ModelKind::Vgae => {
-                let m = Vgae::new(num_features, rng);
-                (Box::new(m.clone()), Box::new(m))
-            }
-            ModelKind::Argae => {
-                let m = Argae::new(num_features, rng);
-                (Box::new(m.clone()), Box::new(m))
-            }
-            ModelKind::Arvgae => {
-                let m = Arvgae::new(num_features, rng);
-                (Box::new(m.clone()), Box::new(m))
-            }
-            ModelKind::Dgae => {
-                let m = Dgae::new(num_features, k, rng);
-                (Box::new(m.clone()), Box::new(m))
-            }
-            ModelKind::GmmVgae => {
-                let m = GmmVgae::new(num_features, k, rng);
-                (Box::new(m.clone()), Box::new(m))
-            }
-        }
+        let m = self.build(num_features, k, rng);
+        (m.clone(), m)
     }
 }
 

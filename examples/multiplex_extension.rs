@@ -22,7 +22,7 @@ use rgae_core::{
 use rgae_datasets::{multiplex_like, LayerSpec, MultiplexSpec};
 use rgae_graph::edge_homophily;
 use rgae_linalg::Rng64;
-use rgae_models::{ClusterStep, Dgae, GaeModel, StepSpec, TrainData};
+use rgae_models::{ClusterStep, ComposedModel, GaeModel, StepSpec, TrainData};
 
 fn main() {
     let mx = multiplex_like(
@@ -62,7 +62,7 @@ fn main() {
     data.filter = Rc::new(mx.mean_filter());
 
     let mut rng = Rng64::seed_from_u64(1);
-    let mut model = Dgae::new(data.num_features(), mx.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), mx.num_classes(), &mut rng);
     // Pretrain on the raw union graph.
     let pre = StepSpec::pretrain(Rc::clone(&data.adjacency));
     for _ in 0..80 {

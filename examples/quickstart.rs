@@ -9,7 +9,7 @@
 use rgae_core::{RConfig, RTrainer};
 use rgae_datasets::presets::cora_like;
 use rgae_linalg::Rng64;
-use rgae_models::{Dgae, TrainData};
+use rgae_models::{ComposedModel, TrainData};
 
 fn main() {
     // 1. A synthetic stand-in for Cora (see DESIGN.md for the calibration).
@@ -26,7 +26,7 @@ fn main() {
     // 2. The model: DGAE (two GCN layers + DEC clustering head).
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(0);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
 
     // 3. The R-trainer: Appendix-C hyper-parameters for this dataset,
     //    shrunk to a demo budget.

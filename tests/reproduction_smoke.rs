@@ -6,7 +6,7 @@
 use rgae_core::{train_plain, Metrics, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{daegc_lite_data, spectral_lite};
-use rgae_models::{Dgae, GaeModel, StepSpec, TrainData};
+use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
 use rgae_viz::{ascii_lines, ascii_scatter, CsvWriter};
 use rgae_xp::{
     best_metrics, metric_stats, pct, pct_pm, rconfig_for, run_pair, stats, DatasetKind,
@@ -79,7 +79,7 @@ fn table17_pathway_daegc_lite() {
     let graph = DatasetKind::CoraLike.build(0.1, 3);
     let data = daegc_lite_data(&graph);
     let mut rng = Rng64::seed_from_u64(1);
-    let mut model = Dgae::new(data.num_features(), graph.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
     let spec = StepSpec::pretrain(std::rc::Rc::clone(&data.adjacency));
     for _ in 0..20 {
         model.train_step(&data, &spec, &mut rng).unwrap();

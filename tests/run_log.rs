@@ -8,7 +8,7 @@ use rgae_core::{RConfig, RTrainer};
 use rgae_datasets::{citation_like, CitationSpec};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
-use rgae_models::{Dgae, TrainData};
+use rgae_models::{ComposedModel, TrainData};
 use rgae_obs::{Event, MemorySink};
 use rgae_xp::emit_run_start;
 
@@ -42,7 +42,7 @@ fn quick_r_run_emits_a_coherent_event_stream() {
 
     let sink = MemorySink::new();
     emit_run_start(&sink, "run_log_test", "DGAE", "cora-like", "r", 1, &cfg);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let report = RTrainer::with_recorder(cfg, &sink)
         .train(&mut model, &g, &mut rng)
         .unwrap();
@@ -138,7 +138,7 @@ fn plain_run_emits_epochs_and_summary() {
 
     let sink = MemorySink::new();
     emit_run_start(&sink, "run_log_test", "DGAE", "cora-like", "plain", 2, &cfg);
-    let mut model = Dgae::new(data.num_features(), g.num_classes(), &mut rng);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let report = rgae_core::train_plain_traced(&mut model, &g, &cfg, &mut rng, &sink).unwrap();
 
     assert_eq!(sink.of_kind("run_start").len(), 1);
