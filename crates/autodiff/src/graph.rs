@@ -175,11 +175,6 @@ impl Graph {
         self.push(Rc::clone(value), Op::Constant, false)
     }
 
-    /// A `1×1` constant scalar.
-    pub fn scalar_const(&mut self, v: f64) -> Var {
-        self.constant(Mat::full(1, 1, v))
-    }
-
     /// `A · B`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
         let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value)?;

@@ -108,11 +108,6 @@ impl Adam {
         self.m.len() - 1
     }
 
-    /// Number of registered slots.
-    pub fn num_slots(&self) -> usize {
-        self.m.len()
-    }
-
     /// Advance the shared timestep. Call once per optimisation step, before
     /// the per-parameter [`Adam::update`] calls of that step.
     pub fn begin_step(&mut self) {

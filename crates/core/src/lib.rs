@@ -40,10 +40,7 @@ pub use checkpoint::{CheckpointOpts, Phase, TrainerState};
 pub use diagnostics::{lambda_fd, lambda_fr, one_hot_targets, one_hot_targets_counted, q_prime};
 pub use eval::{evaluate, soft_assignments_or_kmeans, xi_assignments_or_kmeans, Metrics};
 pub use multiplex::{multiplex_self_supervision, upsilon_multiplex, MultiplexUpsilonOutcome};
-pub use trainer::{
-    train_plain, train_plain_ckpt, train_plain_traced, EpochRecord, FdMode, PlainReport, RConfig,
-    RReport, RTrainer,
-};
+pub use trainer::{train_plain, train_plain_ckpt, EpochRecord, FdMode, RConfig, RReport, RTrainer};
 pub use upsilon::{upsilon, UpsilonConfig, UpsilonOutcome};
 pub use xi::{xi, Omega, XiConfig};
 // The guard layer's configuration surface, re-exported so trainer callers

@@ -97,14 +97,18 @@ pub struct RConfig {
     /// current self-supervision graph (Figs. 4 and 10).
     pub snapshot_epochs: Vec<usize>,
     /// Worker threads for the `rgae-par` kernels. `None` keeps the process
-    /// default (the `RGAE_THREADS` env var, else available parallelism);
-    /// `Some(1)` forces the exact serial path. Results are bit-identical at
-    /// any setting — this knob trades wall time only.
+    /// setting (by default the `RGAE_THREADS` env var, else available
+    /// parallelism); `Some(1)` forces the exact serial path. A
+    /// `Some` value is applied process-wide when a run starts and stays in
+    /// effect for later runs whose config says `None`. Results are
+    /// bit-identical at any setting — this knob trades wall time only.
     pub threads: Option<usize>,
     /// Row-tile height for the fused gram+BCE decoder kernel. `None` keeps
-    /// the process default (the `RGAE_DECODER_TILE` env var, else
-    /// [`rgae_linalg::DEFAULT_DECODER_TILE`]). Results are bit-identical at
-    /// any setting — the tile bounds peak decoder memory (O(B·N)) only.
+    /// the process setting (by default the `RGAE_DECODER_TILE` env var, else
+    /// [`rgae_linalg::DEFAULT_DECODER_TILE`]). A `Some` value is
+    /// applied process-wide when a run starts and stays in effect for later
+    /// runs whose config says `None`. Results are bit-identical at any
+    /// setting — the tile bounds peak decoder memory (O(B·N)) only.
     pub decoder_tile: Option<usize>,
     /// Numerical-health monitoring + checkpoint-rollback recovery. `None`
     /// (the default) disables the guard layer entirely; with it enabled a
@@ -336,7 +340,9 @@ impl EpochRecord {
     }
 }
 
-/// Outcome of an R run.
+/// Outcome of a training run, R or plain. A plain run never converges and
+/// never rewrites the graph: its `converged_at` is `None`, and its
+/// `final_graph` and snapshot graphs are `A` itself.
 #[derive(Clone, Debug)]
 pub struct RReport {
     /// Metrics after pretraining + head initialisation (the shared starting
@@ -354,24 +360,6 @@ pub struct RReport {
     pub final_graph: Rc<Csr>,
     /// `(epoch, Z, A^self_clus)` snapshots taken at `snapshot_epochs`.
     pub snapshots: Vec<(usize, rgae_linalg::Mat, Rc<Csr>)>,
-    /// The guard layer exhausted its retries and the run finished on the
-    /// last-good parameters instead of fully recovering.
-    pub degraded: bool,
-}
-
-/// Outcome of a plain (un-modified 𝒟) run.
-#[derive(Clone, Debug)]
-pub struct PlainReport {
-    /// Metrics after pretraining + head initialisation.
-    pub pretrain_metrics: Metrics,
-    /// Final metrics.
-    pub final_metrics: Metrics,
-    /// Per-epoch trace (Λ diagnostics only when requested).
-    pub epochs: Vec<EpochRecord>,
-    /// Wall-clock seconds for the clustering phase.
-    pub train_seconds: f64,
-    /// `(epoch, Z)` snapshots taken at `snapshot_epochs`.
-    pub snapshots: Vec<(usize, rgae_linalg::Mat)>,
     /// The guard layer exhausted its retries and the run finished on the
     /// last-good parameters instead of fully recovering.
     pub degraded: bool,
@@ -1548,26 +1536,16 @@ pub fn train_plain(
     graph: &AttributedGraph,
     cfg: &RConfig,
     rng: &mut Rng64,
-) -> Result<PlainReport> {
-    train_plain_traced(model, graph, cfg, rng, &NOOP)
+) -> Result<RReport> {
+    train_plain_ckpt(model, graph, cfg, rng, &NOOP, None)
 }
 
 /// [`train_plain`] with a run-log recorder (spans, epoch events, and the
-/// closing run summary, mirroring the R trainer's trace).
-pub fn train_plain_traced(
-    model: &mut dyn GaeModel,
-    graph: &AttributedGraph,
-    cfg: &RConfig,
-    rng: &mut Rng64,
-    rec: &dyn Recorder,
-) -> Result<PlainReport> {
-    train_plain_ckpt(model, graph, cfg, rng, rec, None)
-}
-
-/// [`train_plain_traced`] with crash-safe checkpointing: periodic saves in
-/// both phases plus phase-boundary and end-of-run saves, and (with
-/// `opts.resume`) bit-identical mid-phase re-entry — the plain counterpart
-/// of [`RTrainer::with_checkpoints`].
+/// closing run summary, mirroring the R trainer's trace) and, when `ckpt`
+/// is given, crash-safe checkpointing: periodic saves in both phases plus
+/// phase-boundary and end-of-run saves, and (with `opts.resume`)
+/// bit-identical mid-phase re-entry — the plain counterpart of
+/// [`RTrainer::with_checkpoints`].
 pub fn train_plain_ckpt(
     model: &mut dyn GaeModel,
     graph: &AttributedGraph,
@@ -1575,7 +1553,7 @@ pub fn train_plain_ckpt(
     rng: &mut Rng64,
     rec: &dyn Recorder,
     ckpt: Option<&CheckpointOpts>,
-) -> Result<PlainReport> {
+) -> Result<RReport> {
     apply_thread_config(cfg);
     if rec.enabled() {
         // Scope the kernel timing table to this run.
@@ -1590,13 +1568,5 @@ pub fn train_plain_ckpt(
     let mut saver = Saver::open(ckpt, rec)?;
     let resumed = driver.load_resume(saver.as_ref());
     let resumed = driver.pretrain(model, &data, rng, &mut saver, resumed)?;
-    let r = driver.clustering(model, graph, &data, rng, &mut saver, resumed)?;
-    Ok(PlainReport {
-        pretrain_metrics: r.pretrain_metrics,
-        final_metrics: r.final_metrics,
-        epochs: r.epochs,
-        train_seconds: r.train_seconds,
-        snapshots: r.snapshots.into_iter().map(|(e, z, _)| (e, z)).collect(),
-        degraded: r.degraded,
-    })
+    driver.clustering(model, graph, &data, rng, &mut saver, resumed)
 }

@@ -8,10 +8,9 @@
 
 mod common;
 
-use common::{assert_epochs_eq, assert_metrics_bits_eq, assert_r_reports_eq, temp_dir, test_graph};
+use common::{assert_r_reports_eq, temp_dir, test_graph};
 use rgae_core::{
-    train_plain_ckpt, CheckpointOpts, Error, FaultSpec, GuardConfig, PlainReport, RConfig, RReport,
-    RTrainer,
+    train_plain_ckpt, CheckpointOpts, Error, FaultSpec, GuardConfig, RConfig, RReport, RTrainer,
 };
 use rgae_linalg::Rng64;
 use rgae_models::{ComposedModel, TrainData};
@@ -61,7 +60,7 @@ fn run_plain(
     cfg: &RConfig,
     ckpt: Option<&CheckpointOpts>,
     rec: &dyn Recorder,
-) -> Result<PlainReport, Error> {
+) -> Result<RReport, Error> {
     let graph = test_graph(SEED);
     let data = TrainData::from_graph(&graph);
     let mut rng = Rng64::seed_from_u64(SEED);
@@ -123,17 +122,7 @@ fn fault_free_guarded_plain_run_is_bit_identical() {
         let mut guarded = cfg.clone();
         guarded.guard = Some(GuardConfig::default());
         let on = run_plain(&guarded, None, &NOOP).unwrap();
-        assert_epochs_eq(
-            &reference.epochs,
-            &on.epochs,
-            &format!("plain threads={threads}"),
-        );
-        assert_metrics_bits_eq(
-            &reference.final_metrics,
-            &on.final_metrics,
-            &format!("plain threads={threads}"),
-        );
-        assert!(!on.degraded);
+        assert_r_reports_eq(&reference, &on, &format!("plain threads={threads}"));
     }
 }
 

@@ -66,11 +66,6 @@ impl EditSet {
         self.add.len()
     }
 
-    /// Number of queued removals.
-    pub fn num_removals(&self) -> usize {
-        self.drop.len()
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.add.is_empty() && self.drop.is_empty()

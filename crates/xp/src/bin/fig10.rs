@@ -3,11 +3,12 @@
 //! Emits per-snapshot CSV point clouds and ASCII previews, plus a
 //! silhouette-style separability summary.
 
-use rgae_core::{train_plain_traced, RTrainer};
+use rgae_core::RReport;
 use rgae_linalg::{Mat, Rng64};
-use rgae_models::TrainData;
 use rgae_viz::{ascii_scatter, tsne, CsvWriter, TsneConfig};
-use rgae_xp::{bin_name, emit_run_start, rconfig_for_opts, DatasetKind, HarnessOpts, ModelKind};
+use rgae_xp::{
+    rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind, SweepVariant,
+};
 
 /// Mean silhouette-like separation: (inter-centroid spread) / (mean
 /// intra-cluster distance). Higher = better separated.
@@ -49,7 +50,6 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale().min(0.25), opts.seed);
-    let data = TrainData::from_graph(&graph);
     let snaps: Vec<usize> = if opts.quick {
         vec![0, 20, 40]
     } else {
@@ -60,40 +60,14 @@ fn main() {
     cfg.max_epochs = cfg.max_epochs.max(snaps.last().unwrap() + 1);
     cfg.min_epochs = cfg.max_epochs;
 
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let trainer = RTrainer::with_recorder(cfg.clone(), rec);
-    let mut base = ModelKind::GmmVgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    trainer.pretrain(base.as_mut(), &data, &mut rng).unwrap();
-
-    let mut r_model = base.clone_box();
-    let mut rng_r = Rng64::seed_from_u64(opts.seed ^ 0x10);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::GmmVgae.name(),
-        dataset.name(),
-        "r",
-        opts.seed,
-        &cfg,
-    );
-    let r = trainer
-        .train_clustering_phase(r_model.as_mut(), &graph, &data, &mut rng_r)
-        .unwrap();
-
-    let mut p_model = base;
-    let mut cfg_plain = cfg.clone();
-    cfg_plain.pretrain_epochs = 0;
-    let mut rng_p = Rng64::seed_from_u64(opts.seed ^ 0x10);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::GmmVgae.name(),
-        dataset.name(),
-        "plain",
-        opts.seed,
-        &cfg_plain,
-    );
-    let p = train_plain_traced(p_model.as_mut(), &graph, &cfg_plain, &mut rng_p, rec).unwrap();
+    let arms = vec![
+        SweepVariant::r("", cfg.clone(), opts.seed ^ 0x10),
+        SweepVariant::plain("", cfg.clone(), opts.seed ^ 0x10),
+    ];
+    let [r, p]: [RReport; 2] =
+        sweep_variants(&opts, rec, ModelKind::GmmVgae, dataset, &graph, &cfg, arms)
+            .try_into()
+            .expect("one report per arm");
 
     let mut csv = CsvWriter::create(
         opts.out_dir.join("fig10_points.csv"),
@@ -127,7 +101,7 @@ fn main() {
     };
 
     let mut final_sep = (0.0, 0.0);
-    for (epoch, z) in &p.snapshots {
+    for (epoch, z, _) in &p.snapshots {
         let s = summarise("GMM-VGAE", *epoch, z);
         final_sep.0 = s;
     }

@@ -3,13 +3,10 @@
 //! noticeably less sensitive because Υ removes the competition between the
 //! clustering and reconstruction signals.
 
-use rgae_core::{train_plain_traced, RTrainer};
-use rgae_linalg::Rng64;
-use rgae_models::TrainData;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    bin_name, emit_run_start, pct, print_table, rconfig_for_opts, stats, DatasetKind, HarnessOpts,
-    ModelKind,
+    pct, print_table, rconfig_for_opts, stats, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
 fn main() {
@@ -18,7 +15,6 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = TrainData::from_graph(&graph);
     let gammas: Vec<f64> = if opts.quick {
         vec![0.001, 0.1, 1.0]
     } else {
@@ -26,13 +22,27 @@ fn main() {
     };
 
     let base_cfg = rconfig_for_opts(ModelKind::GmmVgae, dataset, &opts);
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let trainer = RTrainer::with_recorder(base_cfg.clone(), rec);
-    let mut pretrained =
-        ModelKind::GmmVgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    trainer
-        .pretrain(pretrained.as_mut(), &data, &mut rng)
-        .unwrap();
+    let arms = gammas
+        .iter()
+        .flat_map(|&gamma| {
+            let mut cfg = base_cfg.clone();
+            cfg.gamma = gamma;
+            let label = format!("gamma={gamma}");
+            [
+                SweepVariant::plain(label.clone(), cfg.clone(), opts.seed ^ 0x13),
+                SweepVariant::r(label, cfg, opts.seed ^ 0x13),
+            ]
+        })
+        .collect();
+    let reports = sweep_variants(
+        &opts,
+        rec,
+        ModelKind::GmmVgae,
+        dataset,
+        &graph,
+        &base_cfg,
+        arms,
+    );
 
     let mut rows = Vec::new();
     let mut csv = CsvWriter::create(
@@ -42,44 +52,8 @@ fn main() {
     .expect("csv");
     let mut plain_accs = Vec::new();
     let mut r_accs = Vec::new();
-    for &gamma in &gammas {
-        let mut cfg = base_cfg.clone();
-        cfg.gamma = gamma;
-
-        let mut plain = pretrained.clone_box();
-        let mut cfg_plain = cfg.clone();
-        cfg_plain.pretrain_epochs = 0;
-        let mut rng_p = Rng64::seed_from_u64(opts.seed ^ 0x13);
-        emit_run_start(
-            rec,
-            &bin_name(),
-            ModelKind::GmmVgae.name(),
-            dataset.name(),
-            &format!("plain-gamma={gamma}"),
-            opts.seed,
-            &cfg_plain,
-        );
-        let p = train_plain_traced(plain.as_mut(), &graph, &cfg_plain, &mut rng_p, rec).unwrap();
-
-        let mut r_model = pretrained.clone_box();
-        let mut rng_r = Rng64::seed_from_u64(opts.seed ^ 0x13);
-        emit_run_start(
-            rec,
-            &bin_name(),
-            ModelKind::GmmVgae.name(),
-            dataset.name(),
-            &format!("r-gamma={gamma}"),
-            opts.seed,
-            &cfg,
-        );
-        let r = RTrainer::with_recorder(cfg, rec)
-            .train_clustering_phase(r_model.as_mut(), &graph, &data, &mut rng_r)
-            .unwrap();
-
-        eprintln!(
-            "  gamma {gamma}: GMM-VGAE {} | R-GMM-VGAE {}",
-            p.final_metrics, r.final_metrics
-        );
+    for (&gamma, pair) in gammas.iter().zip(reports.chunks(2)) {
+        let (p, r) = (&pair[0], &pair[1]);
         csv.row(&[gamma, p.final_metrics.acc, r.final_metrics.acc])
             .expect("csv row");
         rows.push(vec![

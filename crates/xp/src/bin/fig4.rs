@@ -3,13 +3,9 @@
 //! to K star-shaped sub-graphs; we report the snapshot statistics (edges,
 //! true/false links, hub structure) plus a CSV edge dump per snapshot.
 
-use rgae_core::RTrainer;
 use rgae_graph::GraphStats;
-use rgae_linalg::Rng64;
 use rgae_viz::CsvWriter;
-use rgae_xp::{
-    bin_name, emit_run_start, print_table, rconfig_for_opts, DatasetKind, HarnessOpts, ModelKind,
-};
+use rgae_xp::{print_table, rconfig_for_opts, run_r, DatasetKind, HarnessOpts, ModelKind};
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -27,21 +23,7 @@ fn main() {
     cfg.max_epochs = cfg.max_epochs.max(snaps.last().unwrap() + 1);
     cfg.min_epochs = cfg.max_epochs;
 
-    let data = rgae_models::TrainData::from_graph(&graph);
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let mut model = ModelKind::GmmVgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::GmmVgae.name(),
-        dataset.name(),
-        "r",
-        opts.seed,
-        &cfg,
-    );
-    let report = RTrainer::with_recorder(cfg, rec)
-        .train(model.as_mut(), &graph, &mut rng)
-        .unwrap();
+    let report = run_r(&opts, rec, ModelKind::GmmVgae, dataset, &graph, cfg);
 
     let mut rows = Vec::new();
     let mut csv = CsvWriter::create(

@@ -10,11 +10,11 @@
 //! Each CSV row also carries the normalised cumulative difference (the
 //! purple curves).
 
-use rgae_core::{train_plain_traced, EpochRecord, RTrainer};
-use rgae_linalg::Rng64;
-use rgae_models::TrainData;
+use rgae_core::{EpochRecord, RReport};
 use rgae_viz::{ascii_lines, CsvWriter};
-use rgae_xp::{bin_name, emit_run_start, rconfig_for_opts, DatasetKind, HarnessOpts, ModelKind};
+use rgae_xp::{
+    rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind, SweepVariant,
+};
 
 fn series(records: &[EpochRecord], pick: impl Fn(&EpochRecord) -> Option<f64>) -> Vec<f64> {
     records
@@ -47,7 +47,6 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = TrainData::from_graph(&graph);
     let mut cfg = rconfig_for_opts(ModelKind::GmmVgae, dataset, &opts);
     cfg.track_diagnostics = true;
     cfg.eval_every = 1;
@@ -57,44 +56,16 @@ fn main() {
         cfg.min_epochs = 140;
     }
 
-    // Shared pretrained weights for both runs.
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let trainer = RTrainer::with_recorder(cfg.clone(), rec);
-    let mut base = ModelKind::GmmVgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    trainer.pretrain(base.as_mut(), &data, &mut rng).unwrap();
-
-    // Experiment 1: train R-GMM-VGAE.
-    let mut r_model = base.clone_box();
-    let mut rng_r = Rng64::seed_from_u64(opts.seed ^ 0xA);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::GmmVgae.name(),
-        dataset.name(),
-        "r",
-        opts.seed,
-        &cfg,
-    );
-    let r_report = trainer
-        .train_clustering_phase(r_model.as_mut(), &graph, &data, &mut rng_r)
-        .unwrap();
-
-    // Experiment 2: train plain GMM-VGAE.
-    let mut p_model = base.clone_box();
-    let mut cfg_plain = cfg.clone();
-    cfg_plain.pretrain_epochs = 0;
-    let mut rng_p = Rng64::seed_from_u64(opts.seed ^ 0xA);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::GmmVgae.name(),
-        dataset.name(),
-        "plain",
-        opts.seed,
-        &cfg_plain,
-    );
-    let p_report =
-        train_plain_traced(p_model.as_mut(), &graph, &cfg_plain, &mut rng_p, rec).unwrap();
+    // Experiment 1 trains R-GMM-VGAE, experiment 2 plain GMM-VGAE, both
+    // from the same pretrained weights and the same clustering-phase seed.
+    let arms = vec![
+        SweepVariant::r("", cfg.clone(), opts.seed ^ 0xA),
+        SweepVariant::plain("", cfg.clone(), opts.seed ^ 0xA),
+    ];
+    let [r_report, p_report]: [RReport; 2] =
+        sweep_variants(&opts, rec, ModelKind::GmmVgae, dataset, &graph, &cfg, arms)
+            .try_into()
+            .expect("one report per arm");
 
     // Assemble the series.
     let fr_r_at_r = series(&r_report.epochs, |e| e.lambda_fr_restricted); // blue (a)

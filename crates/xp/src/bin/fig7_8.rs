@@ -3,63 +3,42 @@
 //! edges, dropped feature columns. Both models share the pretrained weights
 //! *and* the corrupted dataset in every comparison.
 
-use rgae_core::{train_plain_traced, Metrics, RTrainer};
+use rgae_core::{Metrics, RConfig};
 use rgae_datasets::{
     add_feature_noise, add_random_edges_traced, drop_feature_columns, drop_random_edges,
 };
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
-use rgae_models::TrainData;
 use rgae_obs::Recorder;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    bin_name, emit_run_start, pct, print_table, rconfig_for_opts, DatasetKind, HarnessOpts,
-    ModelKind,
+    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
+/// DGAE then R-DGAE on one (corrupted) graph, from shared pretrained
+/// weights; returns their final metrics.
 fn run_both(
     graph: &AttributedGraph,
     opts: &HarnessOpts,
-    cfg: &rgae_core::RConfig,
+    cfg: &RConfig,
     variant: &str,
     rec: &dyn Recorder,
 ) -> (Metrics, Metrics) {
-    let data = TrainData::from_graph(graph);
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let trainer = RTrainer::with_recorder(cfg.clone(), rec);
-    let mut base = ModelKind::Dgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    trainer.pretrain(base.as_mut(), &data, &mut rng).unwrap();
-
-    let mut plain = base.clone_box();
-    let mut cfg_plain = cfg.clone();
-    cfg_plain.pretrain_epochs = 0;
-    let mut rng_p = Rng64::seed_from_u64(opts.seed ^ 0x78);
-    emit_run_start(
+    let arms = vec![
+        SweepVariant::plain(variant, cfg.clone(), opts.seed ^ 0x78),
+        SweepVariant::r(variant, cfg.clone(), opts.seed ^ 0x78),
+    ];
+    let reports = sweep_variants(
+        opts,
         rec,
-        &bin_name(),
-        ModelKind::Dgae.name(),
-        "cora-like",
-        &format!("plain-{variant}"),
-        opts.seed,
-        &cfg_plain,
-    );
-    let p = train_plain_traced(plain.as_mut(), graph, &cfg_plain, &mut rng_p, rec).unwrap();
-
-    let mut r_model = base;
-    let mut rng_r = Rng64::seed_from_u64(opts.seed ^ 0x78);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::Dgae.name(),
-        "cora-like",
-        &format!("r-{variant}"),
-        opts.seed,
+        ModelKind::Dgae,
+        DatasetKind::CoraLike,
+        graph,
         cfg,
+        arms,
     );
-    let r = trainer
-        .train_clustering_phase(r_model.as_mut(), graph, &data, &mut rng_r)
-        .unwrap();
-    (p.final_metrics, r.final_metrics)
+    (reports[0].final_metrics, reports[1].final_metrics)
 }
 
 fn main() {
@@ -115,7 +94,6 @@ fn main() {
             let mut crng = Rng64::seed_from_u64(opts.seed ^ (level.to_bits() >> 3));
             let graph = corrupt(level, &mut crng);
             let (p, r) = run_both(&graph, &opts, &cfg, &format!("{name}={level}"), rec);
-            eprintln!("  {name} level {level}: DGAE {p} | R-DGAE {r}");
             csv.row_strs(&[
                 name.into(),
                 level.to_string(),

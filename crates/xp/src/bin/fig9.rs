@@ -3,10 +3,8 @@
 //! (d) links of A^self_clus (true/false), (e) added links, (f) dropped
 //! links.
 
-use rgae_core::RTrainer;
-use rgae_linalg::Rng64;
 use rgae_viz::{ascii_lines, CsvWriter};
-use rgae_xp::{bin_name, emit_run_start, rconfig_for_opts, DatasetKind, HarnessOpts, ModelKind};
+use rgae_xp::{rconfig_for_opts, run_r, DatasetKind, HarnessOpts, ModelKind};
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -14,33 +12,11 @@ fn main() {
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let data = rgae_models::TrainData::from_graph(&graph);
     let mut cfg = rconfig_for_opts(ModelKind::GmmVgae, dataset, &opts);
     cfg.eval_every = 1;
     cfg.min_epochs = cfg.max_epochs; // full trace
 
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let mut model = ModelKind::GmmVgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    emit_run_start(
-        rec,
-        &bin_name(),
-        ModelKind::GmmVgae.name(),
-        dataset.name(),
-        "r",
-        opts.seed,
-        &cfg,
-    );
-    let mut trainer = RTrainer::with_recorder(cfg, rec);
-    if let Some(ckpt) = opts.ckpt_for(
-        &bin_name(),
-        dataset.name(),
-        ModelKind::GmmVgae.name(),
-        "r",
-        opts.seed,
-    ) {
-        trainer = trainer.with_checkpoints(ckpt);
-    }
-    let report = trainer.train(model.as_mut(), &graph, &mut rng).unwrap();
+    let report = run_r(&opts, rec, ModelKind::GmmVgae, dataset, &graph, cfg);
 
     let mut csv = CsvWriter::create(
         opts.out_dir.join("fig9.csv"),

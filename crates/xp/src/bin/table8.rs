@@ -37,17 +37,16 @@ fn main() {
                 cfg.xi.use_alpha1 = !no_a1;
                 cfg.xi.use_alpha2 = !no_a2;
                 cfg.use_xi = !no_xi;
-                SweepVariant {
-                    label: label.replace(' ', "_"),
-                    cfg,
-                    seed: opts.seed ^ 0x8,
-                }
+                SweepVariant::r(label.replace(' ', "_"), cfg, opts.seed ^ 0x8)
             })
             .collect();
         let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
 
         let mut row = vec![format!("R-{}", model.name())];
-        for ((label, ..), m) in ablations.iter().zip(&results) {
+        for ((label, ..), m) in ablations
+            .iter()
+            .zip(results.iter().map(|r| &r.final_metrics))
+        {
             csv.row_strs(&[
                 model.name().into(),
                 (*label).into(),

@@ -36,17 +36,16 @@ fn main() {
                 cfg.upsilon.add_edges = add;
                 cfg.upsilon.drop_edges = drop;
                 cfg.use_upsilon = use_upsilon;
-                SweepVariant {
-                    label: label.replace(' ', "_"),
-                    cfg,
-                    seed: opts.seed ^ 0x9,
-                }
+                SweepVariant::r(label.replace(' ', "_"), cfg, opts.seed ^ 0x9)
             })
             .collect();
         let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
 
         let mut row = vec![format!("R-{}", model.name())];
-        for ((label, ..), m) in ablations.iter().zip(&results) {
+        for ((label, ..), m) in ablations
+            .iter()
+            .zip(results.iter().map(|r| &r.final_metrics))
+        {
             csv.row_strs(&[
                 model.name().into(),
                 (*label).into(),

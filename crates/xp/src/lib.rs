@@ -3,11 +3,9 @@
 //! (Appendix C), trial runners, and table formatting.
 
 use std::path::PathBuf;
-use std::rc::Rc;
 
 use rgae_core::{
-    train_plain_ckpt, CheckpointOpts, GuardConfig, Metrics, PlainReport, RConfig, RReport,
-    RTrainer, XiConfig,
+    train_plain_ckpt, CheckpointOpts, GuardConfig, Metrics, RConfig, RReport, RTrainer, XiConfig,
 };
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
@@ -447,7 +445,7 @@ pub fn rconfig_for_opts(model: ModelKind, dataset: DatasetKind, opts: &HarnessOp
 /// weights.
 pub struct PairOutcome {
     /// Plain 𝒟 result.
-    pub plain: PlainReport,
+    pub plain: RReport,
     /// R-𝒟 result.
     pub r: RReport,
 }
@@ -508,26 +506,113 @@ pub fn run_pair(
     PairOutcome { plain, r }
 }
 
-/// One configuration of an ablation sweep (see [`sweep_variants`]).
+/// One full R run of `model` on `graph`, pretraining included, with the
+/// model and its RNG seeded by `--seed` (Figs. 4 and 9). It is logged as run
+/// `r` and, with `--checkpoint-dir`, checkpointed under the `r` key.
+pub fn run_r(
+    opts: &HarnessOpts,
+    rec: &dyn Recorder,
+    model: ModelKind,
+    dataset: DatasetKind,
+    graph: &AttributedGraph,
+    cfg: RConfig,
+) -> RReport {
+    let binary = bin_name();
+    let data = TrainData::from_graph(graph);
+    let mut rng = Rng64::seed_from_u64(opts.seed);
+    let mut m = model.build(data.num_features(), graph.num_classes(), &mut rng);
+    emit_run_start(
+        rec,
+        &binary,
+        model.name(),
+        dataset.name(),
+        "r",
+        opts.seed,
+        &cfg,
+    );
+    let mut trainer = RTrainer::with_recorder(cfg, rec);
+    if let Some(ckpt) = opts.ckpt_for(&binary, dataset.name(), model.name(), "r", opts.seed) {
+        trainer = trainer.with_checkpoints(ckpt);
+    }
+    trainer.train(m.as_mut(), graph, &mut rng).unwrap()
+}
+
+/// Which trainer a [`SweepVariant`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arm {
+    /// The un-modified model 𝒟, via [`train_plain_ckpt`].
+    Plain,
+    /// R-𝒟, via [`RTrainer::train_clustering_phase`].
+    R,
+}
+
+impl Arm {
+    /// Run-name prefix: `plain` or `r`.
+    fn name(self) -> &'static str {
+        match self {
+            Arm::Plain => "plain",
+            Arm::R => "r",
+        }
+    }
+}
+
+/// One arm of a shared-pretrain sweep (see [`sweep_variants`]).
 pub struct SweepVariant {
-    /// Run label; the run-log variant and checkpoint key are `r-<label>`.
+    /// Which trainer the arm runs.
+    pub arm: Arm,
+    /// Run label; see [`SweepVariant::run_name`].
     pub label: String,
-    /// The variant's full configuration.
+    /// The arm's full configuration.
     pub cfg: RConfig,
-    /// Seed of the variant's clustering-phase RNG stream.
+    /// Seed of the arm's clustering-phase RNG stream.
     pub seed: u64,
 }
 
-/// The ablation protocol of Tables 6–9 and Figs. 11–12: pretrain `model`
-/// once (seeded by `--seed`), then run the R clustering phase of every
-/// variant on a clone of the pretrained weights. Each variant is logged as
-/// its own run and, with `--checkpoint-dir`, checkpointed into its own
-/// `r-<label>` directory. Returns the final metrics in variant order.
+impl SweepVariant {
+    /// An R-𝒟 arm.
+    pub fn r(label: impl Into<String>, cfg: RConfig, seed: u64) -> Self {
+        SweepVariant {
+            arm: Arm::R,
+            label: label.into(),
+            cfg,
+            seed,
+        }
+    }
+
+    /// A plain 𝒟 arm.
+    pub fn plain(label: impl Into<String>, cfg: RConfig, seed: u64) -> Self {
+        SweepVariant {
+            arm: Arm::Plain,
+            label: label.into(),
+            cfg,
+            seed,
+        }
+    }
+
+    /// The run-log variant and checkpoint key: `<arm>-<label>`, or the bare
+    /// arm name (`plain` / `r`) when the label is empty.
+    pub fn run_name(&self) -> String {
+        if self.label.is_empty() {
+            self.arm.name().to_owned()
+        } else {
+            format!("{}-{}", self.arm.name(), self.label)
+        }
+    }
+}
+
+/// The shared-pretrain protocol of Tables 6–9 and Figs. 5–8 and 10–13:
+/// pretrain `model` once (seeded by `--seed`), then run every arm, in the
+/// given order, on a clone of the pretrained weights. A plain arm re-runs
+/// only the head initialisation before its clustering phase
+/// (`pretrain_epochs = 0`); an R arm goes straight to the clustering phase.
+/// Each arm is logged as its own run and, with `--checkpoint-dir`,
+/// checkpointed into its own [`SweepVariant::run_name`] directory. Returns
+/// one report per arm, in arm order.
 ///
 /// The shared pretrain is not checkpointed: it is deterministic, and
 /// [`RTrainer::pretrain`] returns early on a clustering-phase state without
 /// importing its parameters, so a checkpointed shared pretrain would hand
-/// variants that never started untrained weights.
+/// arms that never started untrained weights.
 pub fn sweep_variants(
     opts: &HarnessOpts,
     rec: &dyn Recorder,
@@ -536,7 +621,7 @@ pub fn sweep_variants(
     graph: &AttributedGraph,
     base_cfg: &RConfig,
     variants: Vec<SweepVariant>,
-) -> Vec<Metrics> {
+) -> Vec<RReport> {
     let binary = bin_name();
     let data = TrainData::from_graph(graph);
     let mut rng = Rng64::seed_from_u64(opts.seed);
@@ -547,7 +632,11 @@ pub fn sweep_variants(
     variants
         .into_iter()
         .map(|v| {
-            let run = format!("r-{}", v.label);
+            let run = v.run_name();
+            let mut cfg = v.cfg;
+            if v.arm == Arm::Plain {
+                cfg.pretrain_epochs = 0;
+            }
             emit_run_start(
                 rec,
                 &binary,
@@ -555,22 +644,31 @@ pub fn sweep_variants(
                 dataset.name(),
                 &run,
                 opts.seed,
-                &v.cfg,
+                &cfg,
             );
-            let mut trainer = RTrainer::with_recorder(v.cfg, rec);
-            if let Some(ckpt) =
-                opts.ckpt_for(&binary, dataset.name(), model.name(), &run, opts.seed)
-            {
-                trainer = trainer.with_checkpoints(ckpt);
-            }
-            let mut variant = pretrained.clone_box();
+            let ckpt = opts.ckpt_for(&binary, dataset.name(), model.name(), &run, opts.seed);
+            let mut arm_model = pretrained.clone_box();
             let mut rng_v = Rng64::seed_from_u64(v.seed);
-            let m = trainer
-                .train_clustering_phase(variant.as_mut(), graph, &data, &mut rng_v)
-                .unwrap()
-                .final_metrics;
-            eprintln!("  R-{} {}: {m}", model.name(), v.label);
-            m
+            let report = match v.arm {
+                Arm::Plain => train_plain_ckpt(
+                    arm_model.as_mut(),
+                    graph,
+                    &cfg,
+                    &mut rng_v,
+                    rec,
+                    ckpt.as_ref(),
+                ),
+                Arm::R => {
+                    let mut trainer = RTrainer::with_recorder(cfg, rec);
+                    if let Some(ckpt) = ckpt {
+                        trainer = trainer.with_checkpoints(ckpt);
+                    }
+                    trainer.train_clustering_phase(arm_model.as_mut(), graph, &data, &mut rng_v)
+                }
+            }
+            .unwrap();
+            eprintln!("  {run} {}: {}", model.name(), report.final_metrics);
+            report
         })
         .collect()
 }
@@ -654,18 +752,10 @@ pub fn pct_pm(s: Stats) -> String {
     format!("{:.1} ± {:.1}", s.mean * 100.0, s.std * 100.0)
 }
 
-/// Convenience: a second-group training loop without Ξ/Υ has the same code
-/// path as [`train_plain`]; re-export a thin alias so the binaries read
-/// naturally.
-pub fn default_data(graph: &AttributedGraph) -> (TrainData, Rc<rgae_linalg::Csr>) {
-    let data = TrainData::from_graph(graph);
-    let a = Rc::clone(&data.adjacency);
-    (data, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgae_obs::MemorySink;
 
     #[test]
     fn stats_basic() {
@@ -719,6 +809,70 @@ mod tests {
         assert!(c.dir.ends_with("table1_2-cora-like-DGAE-r-7"));
         assert_eq!(c.every, 10);
         assert!(c.resume);
+    }
+
+    #[test]
+    fn sweep_checkpoints_each_arm_and_resumes_bit_identically() {
+        let dataset = DatasetKind::BrazilAir;
+        let graph = dataset.build(0.5, 3);
+        let mut cfg = rconfig_for(ModelKind::Dgae, dataset, true);
+        cfg.pretrain_epochs = 12;
+        cfg.max_epochs = 10;
+        cfg.min_epochs = 10;
+        let root = std::env::temp_dir().join(format!("rgae-xp-test-{}-sweep", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut opts = HarnessOpts {
+            seed: 4,
+            checkpoint_every: 3,
+            ..HarnessOpts::default()
+        };
+        let sweep = |opts: &HarnessOpts, rec: &dyn Recorder| {
+            let arms = vec![
+                SweepVariant::plain("lbl", cfg.clone(), 9),
+                SweepVariant::r("lbl", cfg.clone(), 9),
+            ];
+            let reports = sweep_variants(opts, rec, ModelKind::Dgae, dataset, &graph, &cfg, arms);
+            assert_eq!(reports.len(), 2);
+            reports
+        };
+        let bits = |reports: &[RReport]| -> Vec<Vec<u64>> {
+            reports
+                .iter()
+                .map(|r| {
+                    let m = r.final_metrics;
+                    let mut v = vec![m.acc.to_bits(), m.nmi.to_bits(), m.ari.to_bits()];
+                    v.extend(r.epochs.iter().map(|e| e.loss.to_bits()));
+                    v
+                })
+                .collect()
+        };
+
+        let reference = sweep(&opts, &NoopRecorder);
+        opts.checkpoint_dir = Some(root.clone());
+        let fresh = sweep(&opts, &NoopRecorder);
+        for arm in ["plain", "r"] {
+            let dir = root.join(format!("{}-brazil-air-like-DGAE-{arm}-lbl-4", bin_name()));
+            assert!(dir.is_dir(), "missing checkpoint directory {dir:?}");
+        }
+        opts.resume = true;
+        let log = MemorySink::new();
+        let resumed = sweep(&opts, &log);
+        let _ = std::fs::remove_dir_all(&root);
+        let loaded = log
+            .of_kind("checkpoint")
+            .iter()
+            .filter(|e| matches!(e, Event::Checkpoint { action, .. } if action == "loaded"))
+            .count();
+        assert_eq!(loaded, 2, "each arm resumes from its own checkpoint");
+
+        assert_eq!(
+            bits(&reference),
+            bits(&fresh),
+            "checkpointing changed a run"
+        );
+        assert_eq!(bits(&fresh), bits(&resumed), "resume changed a run");
+        assert_eq!(reference[0].epochs.len(), 10);
+        assert_eq!(reference[0].converged_at, None);
     }
 
     #[test]

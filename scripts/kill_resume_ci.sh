@@ -1,11 +1,13 @@
 #!/bin/bash
 # Kill-and-resume smoke test for the checkpoint/resume path, run by CI.
 #
-# 1. Run a quick fig9 experiment uninterrupted (the reference).
+# Usage: scripts/kill_resume_ci.sh [BINARY]   (default: fig9)
+#
+# 1. Run a quick BINARY experiment uninterrupted (the reference).
 # 2. Run the same experiment with checkpointing on and SIGKILL it partway.
 # 3. Rerun with --resume, which restores the latest checkpoint.
-# 4. Diff the per-epoch losses and final metrics in the JSONL run logs:
-#    the resumed run must be bit-identical to the reference.
+# 4. Diff the per-epoch losses and final metrics of every run in the JSONL
+#    run logs: the resumed runs must be bit-identical to the reference.
 #
 # Timing-only fields (train_seconds, span events, run_id) are excluded from
 # the diff; everything numeric about the training trajectory is compared
@@ -18,9 +20,10 @@ cd "$(dirname "$0")/.."
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-cargo build --release -p rgae-xp --bin fig9
+NAME=${1:-fig9}
+cargo build --release -p rgae-xp --bin "$NAME"
 
-BIN=target/release/fig9
+BIN=target/release/$NAME
 COMMON=(--quick --seed 5)
 
 echo "== reference run (uninterrupted) =="
@@ -54,7 +57,7 @@ python3 - "$WORK/ref.jsonl" "$WORK/res.jsonl" <<'EOF'
 import json, sys
 
 def trajectory(path):
-    epochs, run_end = [], None
+    epochs, run_ends = [], []
     with open(path) as fh:
         for line in fh:
             ev = json.loads(line)
@@ -62,10 +65,10 @@ def trajectory(path):
                 # Everything except the type tag is deterministic data.
                 epochs.append({k: v for k, v in ev.items() if k != "type"})
             elif ev["type"] == "run_end":
-                run_end = {k: v for k, v in ev.items()
-                           if k not in ("type", "train_seconds")}
-    assert run_end is not None, f"{path}: no run_end event"
-    return epochs, run_end
+                run_ends.append({k: v for k, v in ev.items()
+                                 if k not in ("type", "train_seconds")})
+    assert run_ends, f"{path}: no run_end event"
+    return epochs, run_ends
 
 ref_epochs, ref_end = trajectory(sys.argv[1])
 res_epochs, res_end = trajectory(sys.argv[2])
@@ -74,10 +77,14 @@ assert len(ref_epochs) == len(res_epochs), \
     f"epoch count differs: {len(ref_epochs)} vs {len(res_epochs)}"
 for i, (a, b) in enumerate(zip(ref_epochs, res_epochs)):
     assert a == b, f"epoch {i} differs:\n  ref: {a}\n  res: {b}"
-assert ref_end == res_end, f"run_end differs:\n  ref: {ref_end}\n  res: {res_end}"
-print(f"OK: {len(ref_epochs)} epochs and final metrics are identical "
-      f"(acc={ref_end['final_acc']}, nmi={ref_end['final_nmi']}, "
-      f"ari={ref_end['final_ari']})")
+assert len(ref_end) == len(res_end), \
+    f"run count differs: {len(ref_end)} vs {len(res_end)}"
+for i, (a, b) in enumerate(zip(ref_end, res_end)):
+    assert a == b, f"run_end {i} differs:\n  ref: {a}\n  res: {b}"
+last = ref_end[-1]
+print(f"OK: {len(ref_end)} runs, {len(ref_epochs)} epochs and final metrics "
+      f"are identical (last run: acc={last['final_acc']}, "
+      f"nmi={last['final_nmi']}, ari={last['final_ari']})")
 EOF
 
 echo "kill-and-resume check passed"

@@ -139,7 +139,7 @@ fn plain_run_emits_epochs_and_summary() {
     let sink = MemorySink::new();
     emit_run_start(&sink, "run_log_test", "DGAE", "cora-like", "plain", 2, &cfg);
     let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
-    let report = rgae_core::train_plain_traced(&mut model, &g, &cfg, &mut rng, &sink).unwrap();
+    let report = rgae_core::train_plain_ckpt(&mut model, &g, &cfg, &mut rng, &sink, None).unwrap();
 
     assert_eq!(sink.of_kind("run_start").len(), 1);
     assert_eq!(sink.of_kind("epoch").len(), report.epochs.len());
