@@ -79,17 +79,8 @@ pub fn soft_assignments_or_kmeans_traced(
 /// Soft assignments as the Ξ operator should see them: the model's own
 /// calibrated [`rgae_models::GaeModel::xi_assignments`] when available,
 /// otherwise the dimension-tempered Eq. 15 kernel over k-means hard
-/// clusters. Row argmax is identical to [`soft_assignments_or_kmeans`].
-pub fn xi_assignments_or_kmeans(
-    model: &dyn GaeModel,
-    data: &TrainData,
-    rng: &mut Rng64,
-) -> Result<Mat> {
-    xi_assignments_or_kmeans_traced(model, data, rng, &NOOP)
-}
-
-/// [`xi_assignments_or_kmeans`] reporting the k-means fallback into a
-/// run-log recorder.
+/// clusters, with the fallback reported into a run-log recorder. Row argmax
+/// is identical to [`soft_assignments_or_kmeans`].
 pub fn xi_assignments_or_kmeans_traced(
     model: &dyn GaeModel,
     data: &TrainData,

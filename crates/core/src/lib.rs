@@ -30,7 +30,6 @@
 mod checkpoint;
 mod diagnostics;
 mod eval;
-mod multiplex;
 pub mod theory;
 mod trainer;
 mod upsilon;
@@ -38,8 +37,7 @@ mod xi;
 
 pub use checkpoint::{CheckpointOpts, Phase, TrainerState};
 pub use diagnostics::{lambda_fd, lambda_fr, one_hot_targets, one_hot_targets_counted, q_prime};
-pub use eval::{evaluate, soft_assignments_or_kmeans, xi_assignments_or_kmeans, Metrics};
-pub use multiplex::{multiplex_self_supervision, upsilon_multiplex, MultiplexUpsilonOutcome};
+pub use eval::{evaluate, soft_assignments_or_kmeans, Metrics};
 pub use trainer::{train_plain, train_plain_ckpt, EpochRecord, FdMode, RConfig, RReport, RTrainer};
 pub use upsilon::{upsilon, UpsilonConfig, UpsilonOutcome};
 pub use xi::{xi, Omega, XiConfig};

@@ -159,6 +159,7 @@ pub fn upsilon(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgae_graph::{edge_homophily, MultiplexGraph};
 
     /// Two clusters: nodes 0–2 near the origin, nodes 3–5 near (10, 0).
     /// Edges: a path inside each cluster plus one cross-link 2–3.
@@ -328,5 +329,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Two clusters over 6 nodes in two layers: layer 0 has a cross-link
+    /// 2–3, layer 1 a different cross-link 0–5. The multiplex Υ is plain Υ
+    /// on the union graph, because the drop rule judges one edge at a time
+    /// and the centroid stars do not depend on the graph.
+    fn multiplex_fixture() -> (MultiplexGraph, Mat, Mat) {
+        let l0 = Csr::adjacency_from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)]).unwrap();
+        let l1 = Csr::adjacency_from_edges(6, &[(0, 2), (3, 5), (0, 5)]).unwrap();
+        let g = MultiplexGraph::new("mx", vec![l0, l1], Mat::eye(6), vec![0, 0, 0, 1, 1, 1], 2)
+            .unwrap();
+        let z = Mat::from_rows(&[
+            vec![0.0],
+            vec![0.4],
+            vec![0.8],
+            vec![9.0],
+            vec![9.5],
+            vec![10.0],
+        ])
+        .unwrap();
+        let p = Mat::from_rows(&[
+            vec![0.9, 0.1],
+            vec![0.9, 0.1],
+            vec![0.8, 0.2],
+            vec![0.1, 0.9],
+            vec![0.1, 0.9],
+            vec![0.2, 0.8],
+        ])
+        .unwrap();
+        (g, p, z)
+    }
+
+    #[test]
+    fn drops_cross_links_in_every_layer() {
+        let (g, p, z) = multiplex_fixture();
+        let omega: Vec<usize> = (0..6).collect();
+        let union = g.union_adjacency();
+        let out = upsilon(&union, &p, &z, &omega, &UpsilonConfig::default()).unwrap();
+        assert!(!out.graph.contains(2, 3), "layer 0 cross-link");
+        assert!(!out.graph.contains(0, 5), "layer 1 cross-link");
+        // Intra-cluster structure of layer 1 preserved.
+        assert!(out.graph.contains(0, 2));
+        assert!(out.graph.contains(3, 5));
+    }
+
+    #[test]
+    fn union_target_is_clustering_oriented() {
+        let (g, p, z) = multiplex_fixture();
+        let labels = [0, 0, 0, 1, 1, 1];
+        let omega: Vec<usize> = (0..6).collect();
+        let union = g.union_adjacency();
+        let before = edge_homophily(&union, &labels);
+        let out = upsilon(&union, &p, &z, &omega, &UpsilonConfig::default()).unwrap();
+        let after = edge_homophily(&out.graph, &labels);
+        assert!(after > before, "homophily {before} -> {after}");
+        assert!((after - 1.0).abs() < 1e-12, "all cross links dropped");
     }
 }

@@ -51,16 +51,6 @@ impl EditSet {
         Ok(())
     }
 
-    /// Queued additions (u < v).
-    pub fn additions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.add.iter().copied()
-    }
-
-    /// Queued removals (u < v).
-    pub fn removals(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.drop.iter().copied()
-    }
-
     /// Number of queued additions.
     pub fn num_additions(&self) -> usize {
         self.add.len()

@@ -132,18 +132,6 @@ impl MultiplexGraph {
         }
         Csr::from_triplets(n, n, &triplets).expect("in-range triplets")
     }
-
-    /// Replace one layer (used by the multiplex Υ extension).
-    pub fn with_layer(mut self, index: usize, layer: Csr) -> Result<Self> {
-        if index >= self.layers.len() {
-            return Err(Error::Invalid("layer index out of range"));
-        }
-        if layer.rows() != self.num_nodes() || layer.cols() != self.num_nodes() {
-            return Err(Error::Invalid("layer size mismatch"));
-        }
-        self.layers[index] = layer;
-        Ok(self)
-    }
 }
 
 #[cfg(test)]
@@ -193,16 +181,5 @@ mod tests {
         assert!(MultiplexGraph::new("bad", vec![], x.clone(), vec![0; 4], 1).is_err());
         let l_small = Csr::adjacency_from_edges(3, &[(0, 1)]).unwrap();
         assert!(MultiplexGraph::new("bad", vec![l_small], x, vec![0; 4], 1).is_err());
-    }
-
-    #[test]
-    fn with_layer_replaces() {
-        let g = two_layer();
-        let empty = Csr::adjacency_from_edges(4, &[]).unwrap();
-        let g2 = g.with_layer(1, empty).unwrap();
-        assert_eq!(g2.union_adjacency().nnz(), 4); // only layer 0's edges
-        assert!(two_layer()
-            .with_layer(5, Csr::adjacency_from_edges(4, &[]).unwrap())
-            .is_err());
     }
 }

@@ -149,11 +149,6 @@ impl Rng64 {
         weights.len() - 1
     }
 
-    /// Derive an independent child RNG (for per-trial seeding).
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::seed_from_u64(self.inner.next_u64())
-    }
-
     /// Snapshot the full generator state: the four xoshiro256++ state words
     /// plus the cached Box–Muller spare. Restoring via [`Rng64::from_state`]
     /// reproduces the stream bit-for-bit from this exact point.

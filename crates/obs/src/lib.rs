@@ -2,12 +2,12 @@
 //!
 //! A dependency-light observability layer: training code emits typed
 //! [`Event`]s through a [`Recorder`], and sinks decide where they go —
-//! a JSONL file ([`JsonlSink`]), memory ([`MemorySink`], for tests), or
-//! stderr ([`StderrSink`]). [`SpanTimer`]s measure nested phases (pretrain,
-//! Ξ selection, Υ rewrite, clustering init, eval, Λ diagnostics) and every
-//! run ends with an aggregated timing table; counters and gauges capture
-//! the |Ω| trajectory, edge edits, and label-clamp events; a
-//! [`RunManifest`] records what ran with which config and seed.
+//! a JSONL file ([`JsonlSink`]) or memory ([`MemorySink`], for tests).
+//! [`SpanTimer`]s measure nested phases (pretrain, Ξ selection, Υ rewrite,
+//! clustering init, eval, Λ diagnostics) and every run ends with an
+//! aggregated timing table; counters and gauges capture the |Ω|
+//! trajectory, edge edits, and label-clamp events; a [`RunManifest`]
+//! records what ran with which config and seed.
 //!
 //! The default recorder is [`NoopRecorder`] (`enabled() == false`), so the
 //! instrumented trainer costs two `Instant` reads per span when tracing is
@@ -36,4 +36,4 @@ mod sinks;
 pub use event::{EpochEvent, Event, RunManifest, RunSummary, TimingEntry};
 pub use json::{Json, ParseError};
 pub use recorder::{span, timestamp_ms, NoopRecorder, Recorder, SpanBook, SpanTimer, NOOP};
-pub use sinks::{JsonlSink, MemorySink, StderrSink};
+pub use sinks::{JsonlSink, MemorySink};

@@ -9,7 +9,7 @@ use crate::event::{Event, TimingEntry};
 /// A destination for run-log events.
 ///
 /// Training code holds a `&dyn Recorder` and stays agnostic of where events
-/// go (a JSONL file, memory, stderr, or nowhere). Implementations use
+/// go (a JSONL file, memory, or nowhere). Implementations use
 /// interior mutability; the training stack is single-threaded.
 pub trait Recorder {
     /// Whether events are consumed at all. Hot paths may skip building

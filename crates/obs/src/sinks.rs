@@ -1,4 +1,4 @@
-//! Recorder sinks: JSONL file, in-memory (tests), and stderr (humans).
+//! Recorder sinks: JSONL file and in-memory (tests).
 //!
 //! All sinks share the same span bookkeeping: `run_start` resets the timing
 //! table, and `run_end` first emits the aggregated [`Event::TimingSummary`]
@@ -141,83 +141,6 @@ impl Recorder for MemorySink {
         self.events
             .borrow_mut()
             .push(Event::SpanEnd { path, seconds });
-    }
-}
-
-/// Human-readable progress on stderr, gated by verbosity:
-///
-/// * `0` — run boundaries, convergence, and the timing table;
-/// * `1` — plus epochs, counters, and gauges;
-/// * `2` — plus every span closure.
-pub struct StderrSink {
-    verbosity: u8,
-    book: SpanBook,
-}
-
-impl StderrSink {
-    /// Sink at the given verbosity.
-    pub fn new(verbosity: u8) -> Self {
-        StderrSink {
-            verbosity,
-            book: SpanBook::new(),
-        }
-    }
-}
-
-impl Recorder for StderrSink {
-    fn record(&self, event: &Event) {
-        match event {
-            Event::RunStart(m) => {
-                self.book.reset();
-                eprintln!(
-                    "[obs] run {} · {} {} ({}) seed={}",
-                    m.run_id, m.dataset, m.model, m.variant, m.seed
-                );
-            }
-            Event::RunEnd(s) => {
-                for entry in self.book.summary() {
-                    eprintln!(
-                        "[obs]   {:<28} {:>6}x {:>9.3}s",
-                        entry.path, entry.count, entry.total_seconds
-                    );
-                }
-                eprintln!(
-                    "[obs] done in {:.2}s · ACC {:.3} NMI {:.3} ARI {:.3} · converged_at={:?}",
-                    s.train_seconds, s.final_acc, s.final_nmi, s.final_ari, s.converged_at
-                );
-            }
-            Event::Convergence { epoch } => {
-                eprintln!("[obs] converged at clustering epoch {epoch}");
-            }
-            Event::Epoch(e) if self.verbosity >= 1 => {
-                eprintln!(
-                    "[obs] epoch {:>4} loss {:>10.4} |omega| {:>5}{}",
-                    e.epoch,
-                    e.loss,
-                    e.omega_size,
-                    e.acc.map(|a| format!(" acc {a:.3}")).unwrap_or_default()
-                );
-            }
-            Event::Counter { name, delta } if self.verbosity >= 1 => {
-                eprintln!("[obs] counter {name} += {delta}");
-            }
-            Event::Gauge { name, epoch, value } if self.verbosity >= 1 => match epoch {
-                Some(ep) => eprintln!("[obs] gauge {name}[{ep}] = {value}"),
-                None => eprintln!("[obs] gauge {name} = {value}"),
-            },
-            _ => {}
-        }
-    }
-
-    fn span_enter(&self, name: &'static str) {
-        self.book.enter(name);
-    }
-
-    fn span_exit(&self, name: &'static str, seconds: f64) {
-        let path = self.book.exit(name, seconds);
-        if self.verbosity >= 2 {
-            eprintln!("[obs] span {path} {seconds:.4}s");
-        }
     }
 }
 

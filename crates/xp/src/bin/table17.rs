@@ -3,48 +3,35 @@
 //! simplifications are documented in DESIGN.md); rows the paper cites from
 //! other papers without public code are out of scope here.
 
-use rgae_cluster::{accuracy, ari, nmi};
-use rgae_core::Metrics;
+use rgae_core::{Metrics, RConfig, RTrainer};
+use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{agc_lite, daegc_lite_data, mgae_lite, spectral_lite};
-use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
+use rgae_models::ComposedModel;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
     best_metrics, pct, print_table, rconfig_for_opts, run_pair, DatasetKind, HarnessOpts, ModelKind,
 };
 
-fn metrics_of(pred: &[usize], truth: &[usize]) -> Metrics {
-    Metrics {
-        acc: accuracy(pred, truth),
-        nmi: nmi(pred, truth),
-        ari: ari(pred, truth),
-    }
-}
-
-/// DAEGC-lite: DGAE trained over the 2-hop proximity filter.
-fn run_daegc_lite(graph: &rgae_graph::AttributedGraph, epochs: usize, seed: u64) -> Metrics {
-    let data: TrainData = daegc_lite_data(graph);
+/// DAEGC-lite: DGAE trained over the 2-hop proximity filter, its joint
+/// phase being the R loop with Ξ and Υ switched off for all `epochs`.
+fn run_daegc_lite(graph: &AttributedGraph, epochs: usize, seed: u64) -> Metrics {
+    let data = daegc_lite_data(graph);
     let mut rng = Rng64::seed_from_u64(seed);
     let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
-    let spec = StepSpec::pretrain(std::rc::Rc::clone(&data.adjacency));
-    for _ in 0..epochs {
-        model.train_step(&data, &spec, &mut rng).unwrap();
-    }
-    model.init_clustering(&data, &mut rng).unwrap();
-    for _ in 0..epochs {
-        let target = model.cluster_target(&data).unwrap().unwrap();
-        let spec = StepSpec {
-            recon_target: Some(std::rc::Rc::clone(&data.adjacency)),
-            gamma: 0.001,
-            cluster: Some(rgae_models::ClusterStep {
-                target,
-                omega: None,
-            }),
-        };
-        model.train_step(&data, &spec, &mut rng).unwrap();
-    }
-    let p = model.soft_assignments(&data).unwrap().unwrap();
-    metrics_of(&p.row_argmax(), graph.labels())
+    let trainer = RTrainer::new(RConfig {
+        pretrain_epochs: epochs,
+        max_epochs: epochs,
+        min_epochs: epochs,
+        use_xi: false,
+        use_upsilon: false,
+        ..RConfig::default()
+    });
+    trainer.pretrain(&mut model, &data, &mut rng).unwrap();
+    trainer
+        .train_clustering_phase(&mut model, graph, &data, &mut rng)
+        .unwrap()
+        .final_metrics
 }
 
 fn main() {
@@ -92,18 +79,18 @@ fn main() {
         };
         let m = best(&mut |s| {
             let mut rng = Rng64::seed_from_u64(s);
-            metrics_of(&spectral_lite(&graph, 16, &mut rng).unwrap(), truth)
+            Metrics::from_predictions(&spectral_lite(&graph, 16, &mut rng).unwrap(), truth)
         });
         emit("Spectral-lite (TADW slot)", m, &mut rows);
         let m = best(&mut |s| {
             let mut rng = Rng64::seed_from_u64(s);
             let (pred, _) = mgae_lite(&graph, 3, 0.2, 1e-2, &mut rng).unwrap();
-            metrics_of(&pred, truth)
+            Metrics::from_predictions(&pred, truth)
         });
         emit("MGAE-lite", m, &mut rows);
         let m = best(&mut |s| {
             let mut rng = Rng64::seed_from_u64(s);
-            metrics_of(&agc_lite(&graph, 4, &mut rng).unwrap(), truth)
+            Metrics::from_predictions(&agc_lite(&graph, 4, &mut rng).unwrap(), truth)
         });
         emit("AGC-lite", m, &mut rows);
         let m = best(&mut |s| run_daegc_lite(&graph, epochs, s));
