@@ -3,7 +3,7 @@
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rgae_linalg::{sigmoid, softplus, Csr, Mat};
+use rgae_linalg::{sigmoid, softplus, Csr, DecoderNumerics, Mat};
 
 use crate::{Error, Result};
 
@@ -412,10 +412,15 @@ impl Graph {
     /// Fused [`Graph::gram`] + [`Graph::bce_logits_sparse`]: the GAE
     /// reconstruction loss computed directly from the embedding `z` by the
     /// tiled kernel in `rgae-linalg`, without materialising the N×N
-    /// logits. Loss bits match the legacy two-node path exactly; the
-    /// latent gradient is accumulated in the same pass (at unit upstream
-    /// gradient — bit-identical to the legacy backward there too) and
-    /// rescaled at backward time if the upstream gradient differs from 1.
+    /// logits. The latent gradient is accumulated in the same pass (at
+    /// unit upstream gradient) and rescaled at backward time if the
+    /// upstream gradient differs from 1.
+    ///
+    /// `numerics` picks the kernel's softplus/σ evaluation. Under
+    /// [`DecoderNumerics::Exact`] the loss bits match the legacy two-node
+    /// path exactly, and so does the gradient at unit upstream gradient;
+    /// [`DecoderNumerics::Fast`] stays within the bound documented on
+    /// [`rgae_linalg::gram_bce_fused`].
     ///
     /// Peak decoder memory is O(B·N) for tile width B
     /// (`RGAE_DECODER_TILE` / [`rgae_linalg::set_decoder_tile`]); the
@@ -426,6 +431,7 @@ impl Graph {
         target: &Rc<Csr>,
         pos_weight: f64,
         norm: f64,
+        numerics: DecoderNumerics,
     ) -> Result<Var> {
         let zv = &self.nodes[z.0].value;
         let n = zv.rows();
@@ -437,7 +443,7 @@ impl Graph {
         // loss root; `1.0·norm` is exactly `norm`, so folding `norm/N²` in
         // here keeps the gradient bits identical.
         let grad_scale = ng.then(|| norm / ((n * n) as f64));
-        let out = rgae_linalg::gram_bce_fused(zv, target, pos_weight, norm, grad_scale)
+        let out = rgae_linalg::gram_bce_fused(zv, target, pos_weight, norm, grad_scale, numerics)
             .map_err(|_| Error::Invalid("gram_bce_logits_sparse: kernel shape mismatch"))?;
         let v = Mat::full(1, 1, out.loss);
         Ok(self.push(

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use rgae_autodiff::{Graph, Var};
-use rgae_linalg::{Csr, Mat, Rng64};
+use rgae_linalg::{Csr, DecoderNumerics, Mat, Rng64};
 
 const H: f64 = 1e-5;
 const TOL: f64 = 1e-5;
@@ -223,14 +223,22 @@ fn check_bce_logits_sparse_through_gram() {
     });
 }
 
+/// Both decoder numerics modes: the fast path differentiates the same loss
+/// to within a few ulp per term.
+const MODES: [DecoderNumerics; 2] = [DecoderNumerics::Exact, DecoderNumerics::Fast];
+
 #[test]
 fn check_gram_bce_fused() {
     // The fused tiled decoder: loss(Z·Zᵀ) without materializing the gram.
     let z = rand_mat(4, 2, 18);
     let t = Rc::new(Csr::from_triplets(4, 4, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap());
-    grad_check(&[z], move |g, v| {
-        g.gram_bce_logits_sparse(v[0], &t, 3.0, 1.2).unwrap()
-    });
+    for numerics in MODES {
+        let t = Rc::clone(&t);
+        grad_check(std::slice::from_ref(&z), move |g, v| {
+            g.gram_bce_logits_sparse(v[0], &t, 3.0, 1.2, numerics)
+                .unwrap()
+        });
+    }
 }
 
 #[test]
@@ -241,10 +249,15 @@ fn check_gram_bce_fused_scaled_root() {
     let t = Rc::new(
         Csr::from_triplets(5, 5, &[(0, 1, 1.0), (1, 0, 1.0), (3, 4, 1.0), (4, 3, 1.0)]).unwrap(),
     );
-    grad_check(&[z], move |g, v| {
-        let recon = g.gram_bce_logits_sparse(v[0], &t, 2.0, 0.8).unwrap();
-        g.scale(recon, 0.37)
-    });
+    for numerics in MODES {
+        let t = Rc::clone(&t);
+        grad_check(std::slice::from_ref(&z), move |g, v| {
+            let recon = g
+                .gram_bce_logits_sparse(v[0], &t, 2.0, 0.8, numerics)
+                .unwrap();
+            g.scale(recon, 0.37)
+        });
+    }
 }
 
 #[test]
@@ -259,12 +272,15 @@ fn check_gram_bce_fused_through_encoder() {
             .unwrap(),
     );
     let t = Rc::new(Csr::adjacency_from_edges(5, &[(0, 1), (2, 3)]).unwrap());
-    grad_check(&[w0], move |g, v| {
-        let xv = g.constant(x.clone());
-        let h = g.spmm(&a, xv).unwrap();
-        let z = g.matmul(h, v[0]).unwrap();
-        g.gram_bce_logits_sparse(z, &t, 4.0, 1.0).unwrap()
-    });
+    for numerics in MODES {
+        let (x, a, t) = (x.clone(), Rc::clone(&a), Rc::clone(&t));
+        grad_check(std::slice::from_ref(&w0), move |g, v| {
+            let xv = g.constant(x.clone());
+            let h = g.spmm(&a, xv).unwrap();
+            let z = g.matmul(h, v[0]).unwrap();
+            g.gram_bce_logits_sparse(z, &t, 4.0, 1.0, numerics).unwrap()
+        });
+    }
 }
 
 #[test]

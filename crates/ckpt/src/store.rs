@@ -11,9 +11,18 @@
 //! good checkpoint; the store additionally keeps the previous generation
 //! (`state.prev.rgck`) so a checkpoint that was *fully* written but is later
 //! found corrupt (bit rot, partial fsync) still has a fallback.
+//!
+//! The store recycles the files it retires instead of freeing them. On a
+//! filesystem mounted with online discard, freeing a freshly fsynced file
+//! (by unlink, rename-over or `O_TRUNC`) can block the caller for tens of
+//! milliseconds, while rewriting existing blocks costs well under one. So
+//! before a rename replaces a generation, the outgoing file is hard-linked
+//! as `state.spare.rgck`, and the next write fills that spare in place.
+//! Every rename is still an atomic replace; after warm-up the directory
+//! keeps the same set of inodes.
 
 use std::fs;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{crc32, ByteReader, Error, Result};
@@ -69,12 +78,17 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>> {
     unframe(&bytes)
 }
 
+/// The sibling `<path>.tmp` a write goes through before its rename.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
 /// Write a framed checkpoint atomically: write to a sibling `.tmp` file,
 /// fsync, then `rename` over the destination.
 pub fn write_checkpoint_atomic(path: &Path, payload: &[u8]) -> Result<()> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
+    let tmp = tmp_path(path);
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(&frame(payload))?;
@@ -84,10 +98,36 @@ pub fn write_checkpoint_atomic(path: &Path, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
+/// Overwrite an open file with `bytes` from offset 0, cut it to their
+/// length, and fsync it.
+fn write_in_place(mut file: fs::File, bytes: &[u8]) -> Result<()> {
+    file.write_all(bytes)?;
+    file.set_len(bytes.len() as u64)?;
+    file.sync_all()?;
+    Ok(())
+}
+
+/// Number of directory entries naming the file (1 where the platform does
+/// not say, which only disables spare reuse there).
+fn link_count(meta: &fs::Metadata) -> u64 {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::MetadataExt::nlink(meta)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = meta;
+        u64::MAX
+    }
+}
+
 /// A directory holding the latest checkpoint plus one previous generation.
 ///
-/// Layout: `state.rgck` (latest) and `state.prev.rgck` (previous good).
-/// [`CheckpointStore::save`] rotates latest → prev before writing, so a save
+/// Layout: `state.rgck` (latest), `state.prev.rgck` (previous good),
+/// `state.healthy.rgck` (the guard layer's tag) and `state.spare.rgck` (a
+/// retired generation kept only for its blocks; never a load candidate).
+/// [`CheckpointStore::save`] writes the new generation next to the current
+/// ones, then rotates latest → prev and renames it into place, so a save
 /// that is interrupted or later found corrupt always leaves a fallback.
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -119,6 +159,12 @@ impl CheckpointStore {
         self.dir.join("state.healthy.rgck")
     }
 
+    /// Path of the spare: the file the last rename retired, whose blocks
+    /// the next write reuses.
+    pub fn spare_path(&self) -> PathBuf {
+        self.dir.join("state.spare.rgck")
+    }
+
     /// Candidate files for loading, newest first.
     pub fn candidates(&self) -> [PathBuf; 2] {
         [self.latest_path(), self.prev_path()]
@@ -134,27 +180,88 @@ impl CheckpointStore {
         [self.latest_path(), self.healthy_path(), self.prev_path()]
     }
 
+    /// Open `tmp` for the next write: the spare renamed there when no live
+    /// name aliases it (link count 1), else a new file. A spare with more
+    /// links is a live generation left linked by a crash; dropping that
+    /// extra name frees nothing. No `O_TRUNC`: [`write_in_place`] cuts the
+    /// file to length after writing.
+    fn claim_tmp(&self, tmp: &Path) -> Result<fs::File> {
+        let spare = self.spare_path();
+        match fs::symlink_metadata(&spare) {
+            Ok(meta) if link_count(&meta) == 1 => fs::rename(&spare, tmp)?,
+            Ok(_) => fs::remove_file(&spare)?,
+            Err(e) if e.kind() == ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        Ok(fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(tmp)?)
+    }
+
+    /// Keep the file at `path` as the spare before a rename replaces it.
+    /// Best effort: without the link the rename frees the old file, which
+    /// is only slower.
+    fn retire(&self, path: &Path) {
+        let spare = self.spare_path();
+        if path.exists() && !spare.exists() {
+            let _ = fs::hard_link(path, spare);
+        }
+    }
+
     /// Tag the current latest generation as healthy: copy it to
     /// [`CheckpointStore::healthy_path`] through a sibling tmp + `rename`,
     /// so a crash mid-copy can't clobber the previous healthy tag.
     pub fn tag_healthy(&self) -> Result<PathBuf> {
+        self.tag_healthy_steps(usize::MAX)
+    }
+
+    /// The first `steps` steps of [`CheckpointStore::tag_healthy`]; tests
+    /// stop early to leave the directory as a crash there would.
+    fn tag_healthy_steps(&self, steps: usize) -> Result<PathBuf> {
         let healthy = self.healthy_path();
-        let mut tmp_name = healthy.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        fs::copy(self.latest_path(), &tmp)?;
-        fs::rename(&tmp, &healthy)?;
+        let tmp = tmp_path(&healthy);
+        let bytes = fs::read(self.latest_path())?;
+        let file = self.claim_tmp(&tmp)?;
+        if steps > 1 {
+            write_in_place(file, &bytes)?;
+        }
+        if steps > 2 {
+            self.retire(&healthy);
+        }
+        if steps > 3 {
+            fs::rename(&tmp, &healthy)?;
+        }
         Ok(healthy)
     }
 
-    /// Save a payload: rotate the current latest to `prev`, then atomically
-    /// write the new latest.
+    /// Save a payload: write it into a tmp file, rotate the current latest
+    /// to `prev`, then rename the tmp file into place as the new latest.
     pub fn save(&self, payload: &[u8]) -> Result<PathBuf> {
+        self.save_steps(payload, usize::MAX)
+    }
+
+    /// The first `steps` steps of [`CheckpointStore::save`]; tests stop
+    /// early to leave the directory as a crash there would.
+    fn save_steps(&self, payload: &[u8], steps: usize) -> Result<PathBuf> {
         let latest = self.latest_path();
-        if latest.exists() {
-            fs::rename(&latest, self.prev_path())?;
+        let tmp = tmp_path(&latest);
+        let file = self.claim_tmp(&tmp)?;
+        if steps > 1 {
+            write_in_place(file, &frame(payload))?;
         }
-        write_checkpoint_atomic(&latest, payload)?;
+        if latest.exists() {
+            if steps > 2 {
+                self.retire(&self.prev_path());
+            }
+            if steps > 3 {
+                fs::rename(&latest, self.prev_path())?;
+            }
+        }
+        if steps > 4 {
+            fs::rename(&tmp, &latest)?;
+        }
         Ok(latest)
     }
 
@@ -278,6 +385,129 @@ mod tests {
             .into_iter()
             .find_map(|p| read_checkpoint(&p).ok());
         assert_eq!(usable.unwrap(), b"gen1");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The inode of every file in `dir`, sorted.
+    #[cfg(unix)]
+    fn inodes(dir: &Path) -> Vec<u64> {
+        use std::os::unix::fs::MetadataExt;
+        let mut v: Vec<u64> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().ino())
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn steady_state_recycles_a_fixed_set_of_inodes() {
+        let dir = tmp_dir("recycle");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let payload = |g: usize| vec![g as u8; 4096 + g % 3];
+        for g in 0..4 {
+            store.save(&payload(g)).unwrap();
+            store.tag_healthy().unwrap();
+        }
+        let warm = inodes(&dir);
+        assert_eq!(warm.len(), 4, "latest, prev, healthy and spare");
+        for g in 4..14 {
+            store.save(&payload(g)).unwrap();
+            store.tag_healthy().unwrap();
+            assert_eq!(inodes(&dir), warm, "round {g} allocated a new file");
+            assert_eq!(read_checkpoint(&store.latest_path()).unwrap(), payload(g));
+            assert_eq!(read_checkpoint(&store.prev_path()).unwrap(), payload(g - 1));
+            assert_eq!(read_checkpoint(&store.healthy_path()).unwrap(), payload(g));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// First readable payload in rollback order.
+    fn first_recoverable(store: &CheckpointStore) -> Vec<u8> {
+        store
+            .recovery_candidates()
+            .into_iter()
+            .find_map(|p| read_checkpoint(&p).ok())
+            .unwrap()
+    }
+
+    #[test]
+    fn crash_at_every_step_keeps_the_newest_complete_generation() {
+        for steps in 1..=4 {
+            let dir = tmp_dir(&format!("crash-save-{steps}"));
+            let store = CheckpointStore::open(&dir).unwrap();
+            for g in [b"gen1", b"gen2", b"gen3"] {
+                store.save(g).unwrap();
+                store.tag_healthy().unwrap();
+            }
+            store.save_steps(b"gen4-never-finished", steps).unwrap();
+            let (payload, _, rejected) = store.load_best().unwrap().unwrap();
+            assert_eq!(
+                (payload.as_slice(), rejected),
+                (&b"gen3"[..], 0),
+                "save step {steps}"
+            );
+            assert_eq!(first_recoverable(&store), b"gen3", "save step {steps}");
+            // The next save completes normally from the crashed state.
+            store.save(b"gen5").unwrap();
+            assert_eq!(read_checkpoint(&store.latest_path()).unwrap(), b"gen5");
+            assert_eq!(read_checkpoint(&store.prev_path()).unwrap(), b"gen3");
+            let _ = fs::remove_dir_all(&dir);
+        }
+        for steps in 1..=3 {
+            let dir = tmp_dir(&format!("crash-tag-{steps}"));
+            let store = CheckpointStore::open(&dir).unwrap();
+            for g in [b"gen1", b"gen2", b"gen3"] {
+                store.save(g).unwrap();
+            }
+            store.tag_healthy().unwrap();
+            store.save(b"gen4").unwrap();
+            store.tag_healthy_steps(steps).unwrap();
+            assert_eq!(read_checkpoint(&store.healthy_path()).unwrap(), b"gen3");
+            assert_eq!(store.load_best().unwrap().unwrap().0, b"gen4");
+            store.tag_healthy().unwrap();
+            assert_eq!(read_checkpoint(&store.healthy_path()).unwrap(), b"gen4");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn spare_aliased_to_a_live_file_is_never_written() {
+        let dir = tmp_dir("alias");
+        let store = CheckpointStore::open(&dir).unwrap();
+        store.save(b"gen1").unwrap();
+        store.tag_healthy().unwrap();
+        store.save(b"gen2").unwrap();
+        // A crash between linking and renaming leaves the spare naming a
+        // live generation.
+        let _ = fs::remove_file(store.spare_path());
+        fs::hard_link(store.latest_path(), store.spare_path()).unwrap();
+        store.save(b"gen3").unwrap();
+        assert_eq!(read_checkpoint(&store.prev_path()).unwrap(), b"gen2");
+        assert_eq!(read_checkpoint(&store.latest_path()).unwrap(), b"gen3");
+
+        let _ = fs::remove_file(store.spare_path());
+        fs::hard_link(store.healthy_path(), store.spare_path()).unwrap();
+        store.save(b"gen4").unwrap();
+        assert_eq!(read_checkpoint(&store.healthy_path()).unwrap(), b"gen1");
+        store.tag_healthy().unwrap();
+        assert_eq!(read_checkpoint(&store.healthy_path()).unwrap(), b"gen4");
+        assert_eq!(read_checkpoint(&store.prev_path()).unwrap(), b"gen3");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn leftover_tmp_is_overwritten_and_cut_to_length() {
+        let dir = tmp_dir("leftover");
+        let store = CheckpointStore::open(&dir).unwrap();
+        store.save(b"gen1").unwrap();
+        fs::write(dir.join("state.rgck.tmp"), vec![0xAB; 10_000]).unwrap();
+        store.save(b"gen2").unwrap();
+        assert_eq!(store.load_best().unwrap().unwrap().0, b"gen2");
+        let len = fs::metadata(store.latest_path()).unwrap().len();
+        assert_eq!(len, frame(b"gen2").len() as u64);
+        assert!(!dir.join("state.rgck.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

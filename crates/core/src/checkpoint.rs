@@ -23,7 +23,7 @@ use rgae_ckpt::state::{get_csr, get_mat, put_csr, put_mat};
 use rgae_ckpt::{CheckpointStore, ModelState};
 use rgae_graph::GraphStats;
 use rgae_linalg::{Csr, Mat, Rng64};
-use rgae_obs::{Event, Recorder};
+use rgae_obs::{span, Event, Recorder};
 
 use crate::eval::Metrics;
 use crate::trainer::EpochRecord;
@@ -487,9 +487,11 @@ impl<'a> Saver<'a> {
         }
     }
 
-    /// Save (rotating latest → prev). Returns [`Error::Halted`] right after
-    /// the configured Nth save when crash injection is armed.
+    /// Save (rotating latest → prev) under a `checkpoint` span. Returns
+    /// [`Error::Halted`] right after the configured Nth save when crash
+    /// injection is armed.
     pub fn save(&mut self, state: &TrainerState) -> Result<()> {
+        let _span = span(self.rec, "checkpoint");
         let payload = state.encode();
         let path = self
             .store
@@ -517,11 +519,13 @@ impl<'a> Saver<'a> {
         self.load_candidates(&self.store.candidates(), variant, "loaded")
     }
 
-    /// Tag the just-written latest generation as healthy: the guard layer
+    /// Tag the just-written latest generation as healthy (under a
+    /// `checkpoint` span): the guard layer
     /// verified the saved state before calling [`Saver::save`], so this copy
     /// survives later rotations as a rollback target even if newer saves are
     /// corrupted on disk.
     pub fn mark_healthy(&self, state: &TrainerState) -> Result<()> {
+        let _span = span(self.rec, "checkpoint");
         let path = self
             .store
             .tag_healthy()

@@ -18,7 +18,8 @@
 //! corrections in CSR order — exactly the legacy `bce_sparse_fwd` order)
 //! and the partials are folded in chunk order. The tile width is forced to
 //! a multiple of `REDUCE_CHUNK`, so the bits are invariant to the tile
-//! size *and* the thread count.
+//! size *and* the thread count, in either numerics mode (the fast mode's
+//! batched transcendentals are pure per-element functions).
 //!
 //! The gradient rows replicate the legacy `(C + Cᵀ)·Z` element order: for
 //! each row `i` the columns are scanned ascending, the symmetric
@@ -40,13 +41,17 @@
 //! side buffer) and a *sweep* phase that reads the panel and the cache
 //! immutably while accumulating the loss and gradient in the legacy
 //! element order. Reusing a bit-identical value cannot change the sums,
-//! so the output is still bit-for-bit the legacy chain's.
+//! so under exact numerics the output is still bit-for-bit the legacy
+//! chain's.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rgae_par::REDUCE_CHUNK;
 
-use crate::{softplus, Csr, Error, Mat, Result};
+use crate::numerics::{
+    softplus_fast, softplus_sigmoid_batch, DecoderNumerics, FAST_SIGMOID_REL, FAST_SOFTPLUS_REL,
+};
+use crate::{sigmoid, softplus, Csr, Error, Mat, Result};
 
 /// Baseline tile rows when neither the programmatic override nor the
 /// `RGAE_DECODER_TILE` environment variable is set. The effective default
@@ -89,8 +94,9 @@ fn effective_tile(n: usize) -> usize {
 
 /// Peak scratch bytes the fused decoder allocates for an `n`-row graph:
 /// one `B×N` `f64` panel plus the `2·B²` diagonal-block transcendental
-/// cache (`B ≤ N`, so the total stays `O(B·N)`). The legacy path peaks at
-/// several dense `N×N` matrices. Used by the benchmark reports.
+/// cache (`B ≤ N`, so the total stays `O(B·N)`). Fast numerics add a `2N`
+/// row scratch per running sweep task, not counted here. The legacy path
+/// peaks at several dense `N×N` matrices. Used by the benchmark reports.
 pub fn fused_panel_bytes(n: usize) -> usize {
     let b = effective_tile(n);
     (b * n + 2 * b * b) * std::mem::size_of::<f64>()
@@ -98,12 +104,13 @@ pub fn fused_panel_bytes(n: usize) -> usize {
 
 /// Result of [`gram_bce_fused`].
 pub struct FusedGramBce {
-    /// The scalar loss `norm · Σ/(N²)` — bit-identical to the legacy
-    /// `Mat::gram` + `bce_logits_sparse` forward.
+    /// The scalar loss `norm · Σ/(N²)` — under exact numerics
+    /// bit-identical to the legacy `Mat::gram` + `bce_logits_sparse`
+    /// forward.
     pub loss: f64,
     /// `Σ_j (c_ij + c_ji) z_j` per row, with the coefficient scale folded
-    /// in — bit-identical to the legacy backward at unit upstream
-    /// gradient. `None` when `grad_scale` was `None`.
+    /// in — under exact numerics bit-identical to the legacy backward at
+    /// unit upstream gradient. `None` when `grad_scale` was `None`.
     pub dz: Option<Mat>,
 }
 
@@ -173,9 +180,9 @@ fn fill_panel(z: &Mat, row0: usize, stripe: &mut [f64]) {
 }
 
 /// Fill the upper part of row `i`'s tile-diagonal block: dots `z_i · z_j`
-/// for `j ∈ [i, t1)` into `s_row`, and the matching transcendental pair —
-/// `(softplus(s), σ(s))` when `grad`, else `(softplus(s), unused)` — into
-/// the row's slice of the diagonal cache (pair slots indexed by `j − t0`).
+/// for `j ∈ [i, t1)` into `s_row`, and the matching transcendental pair
+/// into the row's slice of the diagonal cache: `drow` holds the row's
+/// softplus slots followed by its σ slots, both indexed by `j − t0`.
 /// Because `s_ij` bit-equals `s_ji` (each product commutes, the ascending
 /// `k` order is shared), these cached values serve *both* rows of every
 /// symmetric pair: the lower half is read from the mirrored slot instead
@@ -191,20 +198,9 @@ fn fill_diag_row(
     t1: usize,
     s_row: &mut [f64],
     drow: &mut [f64],
-    grad: bool,
+    numerics: DecoderNumerics,
 ) {
     let zi = z.row(i);
-    let mut store = |j: usize, s: f64| {
-        s_row[j] = s;
-        let c2 = (j - t0) * 2;
-        if grad {
-            let (sp, sig) = softplus_sigmoid(s);
-            drow[c2] = sp;
-            drow[c2 + 1] = sig;
-        } else {
-            drow[c2] = softplus(s);
-        }
-    };
     let mut j = i;
     while j + 4 <= t1 {
         let (b0, b1, b2, b3) = (z.row(j), z.row(j + 1), z.row(j + 2), z.row(j + 3));
@@ -215,15 +211,26 @@ fn fill_diag_row(
             a2 += x * b2[k];
             a3 += x * b3[k];
         }
-        store(j, a0);
-        store(j + 1, a1);
-        store(j + 2, a2);
-        store(j + 3, a3);
+        s_row[j] = a0;
+        s_row[j + 1] = a1;
+        s_row[j + 2] = a2;
+        s_row[j + 3] = a3;
         j += 4;
     }
     while j < t1 {
-        store(j, dot(zi, z.row(j)));
+        s_row[j] = dot(zi, z.row(j));
         j += 1;
+    }
+    let (dsp, dsig) = drow.split_at_mut(t1 - t0);
+    let (dsp, dsig) = (&mut dsp[i - t0..], &mut dsig[i - t0..]);
+    let s = &s_row[i..t1];
+    match numerics {
+        DecoderNumerics::Fast => softplus_sigmoid_batch(s, dsp, dsig),
+        DecoderNumerics::Exact => {
+            for ((&s, sp), sig) in s.iter().zip(dsp.iter_mut()).zip(dsig.iter_mut()) {
+                (*sp, *sig) = softplus_sigmoid(s);
+            }
+        }
     }
 }
 
@@ -242,12 +249,6 @@ fn softplus_sigmoid(x: f64) -> (f64, f64) {
     }
 }
 
-/// Sparse row of a CSR as (columns, values) slices, ascending columns.
-#[inline]
-fn csr_row(t: &Csr, i: usize) -> Vec<(usize, f64)> {
-    t.row_iter(i).collect()
-}
-
 /// Fused, tiled weighted-BCE-over-Gram forward (+ optional backward):
 /// computes `norm · mean[pos_weight · t · softplus(−z_iᵀz_j) + (1 − t) ·
 /// softplus(z_iᵀz_j)]` and, when `grad_scale = Some(gs)`, the latent
@@ -256,6 +257,33 @@ fn csr_row(t: &Csr, i: usize) -> Vec<(usize, f64)> {
 /// without materialising the N×N logits. For the legacy-equivalent
 /// gradient pass `gs = norm / N²` (the unit upstream gradient folded in).
 ///
+/// `numerics` picks how softplus and σ are evaluated (see
+/// [`crate::numerics`]). Under [`DecoderNumerics::Exact`] the loss and dZ
+/// are bit-identical to the legacy chain. Under [`DecoderNumerics::Fast`]
+/// each sweep task evaluates a row's off-block transcendentals in one
+/// batch into a `2N` scratch; the dot order, tiling, symmetry sharing and
+/// reduction order are the same in both modes, so both are invariant to
+/// the tile size and the thread count.
+///
+/// # Fast-vs-exact bound
+///
+/// With `εf = FAST_SOFTPLUS_REL·u`, `εe(x) = 4u` (+ `e⁻ˣ/x` for `x > 30`,
+/// `eˣ` for `x < −30`, where libm truncates) for softplus and `Δσ = (6 +
+/// 5)u·σ` (libm `exp`/`log1p` taken as ≤ 1 ulp), each softplus term
+/// differs between the modes by at most `(εf + εe)·softplus`, and each
+/// positive correction by that of its two softplus values plus `2γ₃` of
+/// its magnitude (its own roundings, in each mode). The two ordered
+/// summations of the same `M = N² + nnz + chunks` terms each round by at
+/// most `γ_M·Σ|term|` (`γ_m = m·u/(1 − m·u)`), so
+/// `|ℓ_fast − ℓ_exact| ≤ norm/N² · (ΣΔterm + 2γ_M·Σ|term|)·(1 + γ₂) +
+/// 2γ₂·|ℓ|`. Each coefficient `c = gs·(pos_weight·t·(σ − 1) + (1 − t)·σ)`
+/// (`gs·σ` off target) differs by at most
+/// `|gs|·(pos_weight·t + |1 − t|)·Δσ + 2γ₆·|c|` (`2γ₁` off target), their
+/// sum `c_ij + c_ji` by those two gaps plus `2γ₁·(|c_ij| + |c_ji|)`, and
+/// the ordered row accumulation adds `2γ_{N+1}·Σ_j (|c_ij| + |c_ji|)·|z_jk|`
+/// to the bound on `dZ_ik`.
+/// [`fast_exact_bound`] evaluates exactly these sums.
+///
 /// Reported under the `fused_gram_bce_fwd_bwd` kernel stat.
 pub fn gram_bce_fused(
     z: &Mat,
@@ -263,6 +291,7 @@ pub fn gram_bce_fused(
     pos_weight: f64,
     norm: f64,
     grad_scale: Option<f64>,
+    numerics: DecoderNumerics,
 ) -> Result<FusedGramBce> {
     let n = z.rows();
     let d = z.cols();
@@ -274,10 +303,11 @@ pub fn gram_bce_fused(
         });
     }
     let denom = (n * n) as f64;
+    let fast = numerics == DecoderNumerics::Fast;
+    let softplus_of: fn(f64) -> f64 = if fast { softplus_fast } else { softplus };
     rgae_par::timed("fused_gram_bce_fwd_bwd", || {
         // Transposed target: row i holds the t_ji needed for c_ji.
         let tt = grad_scale.map(|_| target.transpose());
-        let grad = grad_scale.is_some();
         let tile = effective_tile(n);
         let n_chunks = n.div_ceil(REDUCE_CHUNK);
         let mut partials = vec![0.0f64; n_chunks];
@@ -314,7 +344,7 @@ pub fn gram_bce_fused(
                         let i = row0 + r;
                         let s_row = &mut stripe[r * n..(r + 1) * n];
                         let drow = &mut dstripe[r * tw * 2..(r + 1) * tw * 2];
-                        fill_diag_row(z, i, t0, t1, s_row, drow, grad);
+                        fill_diag_row(z, i, t0, t1, s_row, drow, numerics);
                     }
                 },
             );
@@ -325,21 +355,30 @@ pub fn gram_bce_fused(
             // `(min, max)` of the cache for in-block transcendentals, and
             // the mirrored panel entry `panel[j − t0][i]` for in-block
             // logits below the diagonal (its own slots there were never
-            // filled). Writes go only to the row's dz slice and the
-            // chunk's loss partial.
+            // filled). Writes go only to the row's dz slice, the chunk's
+            // loss partial and the task's row scratch.
             let panel_ref: &[f64] = panel_slice;
             let diag_ref: &[f64] = diag_slice;
+            // Softplus slot of the unordered pair; its σ sits `tw` later.
             let pair = move |r2: usize, c2: usize| {
                 let (a, b) = if c2 >= r2 { (r2, c2) } else { (c2, r2) };
-                (a * tw + b) * 2
+                a * tw * 2 + b
             };
+            // Fast mode's per-task row scratch: a row's off-block softplus
+            // and σ values, evaluated in two batches before the sweep.
+            let scratch = || vec![0.0f64; if fast { 2 * n } else { 0 }];
             // `acc` threads through every row of the chunk (not a per-row
             // subtotal): the legacy chunk partial is one running sum, and
             // regrouping it per row would change the addition tree.
-            let sweep_row = |i: usize, dz_row: Option<&mut [f64]>, acc: &mut f64| {
+            let sweep_row = |i, dz_row: Option<&mut [f64]>, acc: &mut f64, buf: &mut [f64]| {
                 let r2 = i - t0;
                 let s_row = &panel_ref[r2 * n..(r2 + 1) * n];
-                let t_row = csr_row(target, i);
+                let (sp_row, sig_row) = buf.split_at_mut(buf.len() / 2);
+                if fast {
+                    softplus_sigmoid_batch(&s_row[..t0], &mut sp_row[..t0], &mut sig_row[..t0]);
+                    softplus_sigmoid_batch(&s_row[t1..], &mut sp_row[t1..], &mut sig_row[t1..]);
+                }
+                let (t_cols, t_vals) = (target.row_indices(i), target.row_values(i));
                 if let (Some(dz_row), Some(gs), Some(tt)) = (dz_row, grad_scale, tt.as_ref()) {
                     // Fused sweep + gradient walk: ascending j, softplus
                     // into the loss accumulator, then the legacy
@@ -347,7 +386,7 @@ pub fn gram_bce_fused(
                     // zero-skip, ascending latent dim. Interleaving the
                     // walk with the sweep leaves both addition orders
                     // untouched.
-                    let tt_row = csr_row(tt, i);
+                    let (tt_cols, tt_vals) = (tt.row_indices(i), tt.row_values(i));
                     let coeff_at = |t: Option<f64>, sig: f64| match t {
                         Some(t) => gs * (pos_weight * t * (sig - 1.0) + (1.0 - t) * sig),
                         None => gs * sig,
@@ -356,18 +395,20 @@ pub fn gram_bce_fused(
                     for j in 0..n {
                         let (sp, sig) = if j >= t0 && j < t1 {
                             let p = pair(r2, j - t0);
-                            (diag_ref[p], diag_ref[p + 1])
+                            (diag_ref[p], diag_ref[p + tw])
+                        } else if fast {
+                            (sp_row[j], sig_row[j])
                         } else {
                             softplus_sigmoid(s_row[j])
                         };
                         *acc += sp;
-                        let t_ij = (pa < t_row.len() && t_row[pa].0 == j).then(|| {
+                        let t_ij = (pa < t_cols.len() && t_cols[pa] == j).then(|| {
                             pa += 1;
-                            t_row[pa - 1].1
+                            t_vals[pa - 1]
                         });
-                        let t_ji = (pb < tt_row.len() && tt_row[pb].0 == j).then(|| {
+                        let t_ji = (pb < tt_cols.len() && tt_cols[pb] == j).then(|| {
                             pb += 1;
-                            tt_row[pb - 1].1
+                            tt_vals[pb - 1]
                         });
                         let coeff = coeff_at(t_ij, sig) + coeff_at(t_ji, sig);
                         if coeff == 0.0 {
@@ -379,26 +420,27 @@ pub fn gram_bce_fused(
                         }
                     }
                 } else {
+                    let off_block = |j: usize| if fast { sp_row[j] } else { softplus(s_row[j]) };
                     for j in 0..t0 {
-                        *acc += softplus(s_row[j]);
+                        *acc += off_block(j);
                     }
                     for c2 in 0..tw {
                         *acc += diag_ref[pair(r2, c2)];
                     }
                     for j in t1..n {
-                        *acc += softplus(s_row[j]);
+                        *acc += off_block(j);
                     }
                 }
                 // Positive-entry corrections, in CSR order — the legacy
                 // forward's second per-row loop. In-block logits below the
                 // diagonal come from the mirrored panel entry.
-                for &(j, t) in &t_row {
+                for (&j, &t) in t_cols.iter().zip(t_vals) {
                     let v = if j >= t0 && j < i {
                         panel_ref[(j - t0) * n + i]
                     } else {
                         s_row[j]
                     };
-                    *acc += pos_weight * t * softplus(-v) - t * softplus(v);
+                    *acc += pos_weight * t * softplus_of(-v) - t * softplus_of(v);
                 }
             };
 
@@ -417,8 +459,10 @@ pub fn gram_bce_fused(
                     |ci, dz_stripe, part| {
                         let row0 = t0 + ci * REDUCE_CHUNK;
                         let mut acc = 0.0;
+                        let mut buf = scratch();
                         for r in 0..dz_stripe.len() / d {
-                            sweep_row(row0 + r, Some(&mut dz_stripe[r * d..(r + 1) * d]), &mut acc);
+                            let dz_row = Some(&mut dz_stripe[r * d..(r + 1) * d]);
+                            sweep_row(row0 + r, dz_row, &mut acc, &mut buf);
                         }
                         part[0] = acc;
                     },
@@ -426,8 +470,9 @@ pub fn gram_bce_fused(
                 _ => rgae_par::par_chunks_mut(parts_tile, 1, |ci, part| {
                     let row0 = t0 + ci * REDUCE_CHUNK;
                     let mut acc = 0.0;
+                    let mut buf = scratch();
                     for r in 0..REDUCE_CHUNK.min(t1 - row0) {
-                        sweep_row(row0 + r, None, &mut acc);
+                        sweep_row(row0 + r, None, &mut acc, &mut buf);
                     }
                     part[0] = acc;
                 }),
@@ -441,6 +486,103 @@ pub fn gram_bce_fused(
             dz,
         })
     })
+}
+
+/// The fast-vs-exact bound of [`gram_bce_fused`] (see its docs), evaluated
+/// term by term from the exact values. Used by the differential test and
+/// the decoder bench; it forms the dense Gram matrix, so it is meant for
+/// moderate `n` only.
+pub struct FastExactBound {
+    /// Bound on `|ℓ_fast − ℓ_exact|`.
+    pub loss: f64,
+    /// Entrywise bound on `|dZ_fast − dZ_exact|` for the unit-upstream
+    /// gradient pass (`grad_scale = norm / N²`).
+    pub dz: Mat,
+}
+
+/// Evaluate [`FastExactBound`] for one decoder call; `exact_loss` is the
+/// exact-mode loss (it enters the final scaling's rounding term).
+pub fn fast_exact_bound(
+    z: &Mat,
+    target: &Csr,
+    pos_weight: f64,
+    norm: f64,
+    exact_loss: f64,
+) -> FastExactBound {
+    const U: f64 = f64::EPSILON / 2.0;
+    // `γ_m = m·u / (1 − m·u)`: the bound on `m` chained roundings.
+    let gamma = |m: usize| {
+        let mu = m as f64 * U;
+        mu / (1.0 - mu)
+    };
+    // libm `exp`/`log1p` taken as ≤ 1 ulp; beyond ±30 the reference
+    // truncates softplus to `x` or `eˣ`.
+    let exact_softplus_rel = |x: f64| {
+        let trunc = if x > 30.0 {
+            (-x).exp() / x
+        } else if x < -30.0 {
+            x.exp()
+        } else {
+            0.0
+        };
+        4.0 * U + trunc
+    };
+    let sp_gap =
+        |x: f64| (FAST_SOFTPLUS_REL * U + exact_softplus_rel(x)) * softplus(x) + 2f64.powi(-1074);
+    let sig_gap = |x: f64| (FAST_SIGMOID_REL + 5.0) * U * sigmoid(x) + 2f64.powi(-1073);
+    let (n, d) = (z.rows(), z.cols());
+    let s = z.gram();
+    let gs = norm / (n * n) as f64;
+
+    // Loss: every softplus term, then the weighted positive corrections
+    // (two products and a difference, rounded in each mode).
+    let (mut gap, mut mass) = (0.0, 0.0);
+    for i in 0..n {
+        for &v in s.row(i) {
+            gap += sp_gap(v);
+            mass += softplus(v);
+        }
+        for (j, t) in target.row_iter(i) {
+            let v = s[(i, j)];
+            let parts = pos_weight * t * softplus(-v) + t * softplus(v);
+            gap += pos_weight * t * sp_gap(-v) + t * sp_gap(v) + 2.0 * gamma(3) * parts;
+            mass += parts;
+        }
+    }
+    let m = n * n + target.nnz() + n.div_ceil(REDUCE_CHUNK);
+    let loss =
+        gs * (gap + 2.0 * gamma(m) * mass) * (1.0 + gamma(2)) + 2.0 * gamma(2) * exact_loss.abs();
+
+    // Gradient: (gap, magnitude) of one coefficient c(t, σ), six roundings
+    // with a target entry and one without; then the coefficient sum and
+    // the ordered row accumulation of `coeff · z_j`.
+    let coeff = |t: Option<f64>, x: f64| {
+        let (sig, dsig) = (sigmoid(x), sig_gap(x));
+        match t {
+            Some(t) => {
+                let mag = gs * (pos_weight * t * (1.0 - sig) + (1.0 - t).abs() * sig);
+                let w = pos_weight * t + (1.0 - t).abs();
+                (gs * w * dsig + 2.0 * gamma(6) * mag, mag)
+            }
+            None => (gs * dsig + 2.0 * gamma(1) * gs * sig, gs * sig),
+        }
+    };
+    let tt = target.transpose();
+    let entry = |t: &Csr, i: usize, j: usize| t.contains(i, j).then(|| t.get(i, j));
+    let mut dz = Mat::zeros(n, d);
+    for i in 0..n {
+        for j in 0..n {
+            let x = s[(i, j)];
+            let (g1, m1) = coeff(entry(target, i, j), x);
+            let (g2, m2) = coeff(entry(&tt, i, j), x);
+            let cgap = g1 + g2 + 2.0 * gamma(1) * (m1 + m2);
+            let cmag = 2.0 * gamma(n + 1) * (m1 + m2);
+            for k in 0..d {
+                dz[(i, k)] += (cgap + cmag) * z[(j, k)].abs();
+            }
+        }
+    }
+    FastExactBound { loss, dz }
 }
 
 /// Tiled fold over the rows of the virtual Gram matrix `S = Z·Zᵀ`: calls
@@ -579,7 +721,8 @@ mod tests {
             let (z, t) = instance(7 + n as u64, n, d);
             let (pw, norm) = (3.5, 0.62);
             let denom = (n * n) as f64;
-            let out = gram_bce_fused(&z, &t, pw, norm, Some(norm / denom)).unwrap();
+            let out = gram_bce_fused(&z, &t, pw, norm, Some(norm / denom), DecoderNumerics::Exact)
+                .unwrap();
             let (loss, dz) = legacy(&z, &t, pw, norm);
             assert_eq!(out.loss.to_bits(), loss.to_bits(), "loss bits n={n}");
             let got = out.dz.unwrap();
@@ -593,7 +736,8 @@ mod tests {
     fn fused_bits_invariant_to_tile_size() {
         let (z, t) = instance(42, 70, 3);
         let denom = (70.0f64) * 70.0;
-        let reference = gram_bce_fused(&z, &t, 2.0, 0.9, Some(0.9 / denom)).unwrap();
+        let reference =
+            gram_bce_fused(&z, &t, 2.0, 0.9, Some(0.9 / denom), DecoderNumerics::Exact).unwrap();
         let ref_dz: Vec<u64> = reference
             .dz
             .as_ref()
@@ -604,7 +748,8 @@ mod tests {
             .collect();
         for tile in [1, 256, 300, 512, 100_000] {
             set_decoder_tile(Some(tile));
-            let got = gram_bce_fused(&z, &t, 2.0, 0.9, Some(0.9 / denom)).unwrap();
+            let got = gram_bce_fused(&z, &t, 2.0, 0.9, Some(0.9 / denom), DecoderNumerics::Exact)
+                .unwrap();
             assert_eq!(got.loss.to_bits(), reference.loss.to_bits(), "tile={tile}");
             let got_dz: Vec<u64> = got
                 .dz
@@ -622,7 +767,7 @@ mod tests {
     #[test]
     fn loss_only_skips_gradient() {
         let (z, t) = instance(3, 20, 4);
-        let out = gram_bce_fused(&z, &t, 1.0, 1.0, None).unwrap();
+        let out = gram_bce_fused(&z, &t, 1.0, 1.0, None, DecoderNumerics::Exact).unwrap();
         assert!(out.dz.is_none());
         let (loss, _) = legacy(&z, &t, 1.0, 1.0);
         assert_eq!(out.loss.to_bits(), loss.to_bits());
@@ -687,7 +832,9 @@ mod tests {
     fn shape_mismatch_rejected() {
         let (z, _) = instance(5, 4, 2);
         let t = Csr::zeros(3, 3);
-        assert!(gram_bce_fused(&z, &t, 1.0, 1.0, None).is_err());
+        for numerics in [DecoderNumerics::Fast, DecoderNumerics::Exact] {
+            assert!(gram_bce_fused(&z, &t, 1.0, 1.0, None, numerics).is_err());
+        }
     }
 
     #[test]

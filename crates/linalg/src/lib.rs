@@ -19,14 +19,16 @@
 mod csr;
 mod decoder;
 mod mat;
+pub mod numerics;
 mod rng;
 
 pub use csr::{Csr, Triplet};
 pub use decoder::{
-    decoder_tile, fused_panel_bytes, gram_bce_fused, gram_row_fold, gram_row_map, set_decoder_tile,
-    FusedGramBce, DEFAULT_DECODER_TILE,
+    decoder_tile, fast_exact_bound, fused_panel_bytes, gram_bce_fused, gram_row_fold, gram_row_map,
+    set_decoder_tile, FastExactBound, FusedGramBce, DEFAULT_DECODER_TILE,
 };
 pub use mat::Mat;
+pub use numerics::DecoderNumerics;
 pub use rng::{glorot_uniform, standard_normal, uniform, Rng64};
 
 /// Errors produced by shape or numeric validation in this crate.

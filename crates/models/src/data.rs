@@ -3,12 +3,12 @@
 use std::rc::Rc;
 
 use rgae_graph::AttributedGraph;
-use rgae_linalg::{Csr, Mat};
+use rgae_linalg::{Csr, DecoderNumerics, Mat};
 
 /// Everything a training step needs from the dataset, precomputed once:
 /// the GCN filter Ã, the features, the default self-supervision target `A`,
-/// and the BCE class-balance constants the GAE reference implementation
-/// derives from `A`.
+/// the BCE class-balance constants the GAE reference implementation
+/// derives from `A`, and how the fused decoder evaluates them.
 #[derive(Clone)]
 pub struct TrainData {
     /// The normalised filter `Ã = D̂^{-1/2}(A+I)D̂^{-1/2}`.
@@ -23,6 +23,12 @@ pub struct TrainData {
     pub pos_weight: f64,
     /// `norm = N² / (2 (N² − ΣA))`: the GAE global loss rescaling.
     pub norm: f64,
+    /// The decoder's softplus/σ evaluation: [`DecoderNumerics::Fast`] from
+    /// [`TrainData::from_graph`]; [`TrainData::with_decoder`] selects
+    /// [`DecoderNumerics::Exact`], the libm path bit-identical to the
+    /// legacy dense chain. Per-instance, never process-global, so runs in
+    /// one process cannot see each other's mode.
+    pub decoder: DecoderNumerics,
     /// Number of nodes `N`.
     pub num_nodes: usize,
     /// Number of clusters `K` the models should form.
@@ -53,9 +59,16 @@ impl TrainData {
             adjacency: Rc::new(graph.adjacency().clone()),
             pos_weight,
             norm,
+            decoder: DecoderNumerics::Fast,
             num_nodes: n,
             num_classes: graph.num_classes(),
         }
+    }
+
+    /// The same data with the decoder evaluated under `numerics`.
+    pub fn with_decoder(mut self, numerics: DecoderNumerics) -> Self {
+        self.decoder = numerics;
+        self
     }
 
     /// Feature dimensionality.
@@ -79,6 +92,9 @@ mod tests {
         assert!((d.norm - 16.0 / 24.0).abs() < 1e-12);
         assert_eq!(d.num_nodes, 4);
         assert_eq!(d.num_classes, 2);
+        assert_eq!(d.decoder, DecoderNumerics::Fast);
+        let exact = d.with_decoder(DecoderNumerics::Exact);
+        assert_eq!(exact.decoder, DecoderNumerics::Exact);
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub use data::TrainData;
 pub use encoder::{GcnEncoder, Mlp, VarGcnEncoder};
 pub use models::ComposedModel;
 pub use rgae_ckpt::ModelState;
+pub use rgae_linalg::DecoderNumerics;
 
 use rgae_linalg::{Mat, Rng64};
 use std::rc::Rc;

@@ -605,7 +605,8 @@ impl ComposedModel {
         let (z, posterior, mut leaves) = self.encoder.forward(&mut g, data, rng)?;
         let mut terms = Vec::with_capacity(3);
         if let Some((target, gamma)) = recon {
-            let r = g.gram_bce_logits_sparse(z, target, data.pos_weight, data.norm)?;
+            let r =
+                g.gram_bce_logits_sparse(z, target, data.pos_weight, data.norm, data.decoder)?;
             terms.push(g.scale(r, gamma));
         }
         if let Some((mu, logvar)) = posterior {

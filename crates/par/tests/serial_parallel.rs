@@ -9,7 +9,7 @@
 //! patterns so `-0.0 != 0.0` and NaN payload differences would be caught.
 
 use proptest::prelude::*;
-use rgae_linalg::{Csr, Mat, Rng64};
+use rgae_linalg::{Csr, DecoderNumerics, Mat, Rng64};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
@@ -201,7 +201,7 @@ proptest! {
             let mut g = rgae_autodiff::Graph::new();
             let z = g.leaf(z0.clone());
             let loss = g
-                .gram_bce_logits_sparse(z, &adj, 3.0, 0.7)
+                .gram_bce_logits_sparse(z, &adj, 3.0, 0.7, DecoderNumerics::Exact)
                 .expect("shapes agree");
             g.backward(loss).expect("scalar root");
             (g.value(loss).as_slice()[0], g.grad(z).expect("leaf grad").clone())
@@ -230,7 +230,8 @@ proptest! {
             let mut g = rgae_autodiff::Graph::new();
             let z = g.leaf(z0.clone());
             let recon = if fused {
-                g.gram_bce_logits_sparse(z, &adj, 3.0, 0.7).expect("shapes agree")
+                g.gram_bce_logits_sparse(z, &adj, 3.0, 0.7, DecoderNumerics::Exact)
+                    .expect("shapes agree")
             } else {
                 let s = g.gram(z);
                 g.bce_logits_sparse(s, &adj, 3.0, 0.7).expect("shapes agree")
@@ -379,17 +380,23 @@ fn degenerate_shapes_bitwise_equal() {
 }
 
 /// The decoder tile bounds peak memory only: fused loss and dZ bits are
-/// invariant to the tile override, exercised here through the autodiff op
-/// (the linalg unit tests cover the raw kernel).
+/// invariant to the tile override in both numerics modes, exercised here
+/// through the autodiff op (the linalg unit tests cover the raw kernel).
 #[test]
 fn fused_decoder_bits_invariant_to_tile() {
+    for numerics in [DecoderNumerics::Exact, DecoderNumerics::Fast] {
+        fused_decoder_tile_invariance(numerics);
+    }
+}
+
+fn fused_decoder_tile_invariance(numerics: DecoderNumerics) {
     let z0 = mat_from(31, 300, 5);
     let adj = std::rc::Rc::new(csr_from(32, 300, 300));
     let run = || {
         let mut g = rgae_autodiff::Graph::new();
         let z = g.leaf(z0.clone());
         let loss = g
-            .gram_bce_logits_sparse(z, &adj, 2.0, 0.6)
+            .gram_bce_logits_sparse(z, &adj, 2.0, 0.6, numerics)
             .expect("shapes agree");
         g.backward(loss).expect("scalar root");
         (

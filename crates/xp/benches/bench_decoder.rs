@@ -1,7 +1,8 @@
-//! Fused-vs-legacy decoder bench: times the tiled one-pass gram+BCE kernel
-//! against the legacy three-pass chain (`mat_gram` → `bce_sparse_fwd` →
-//! `bce_sparse_bwd` → gram-backward `mat_matmul`) on the cora-like preset,
-//! verifies the two paths produce bit-identical losses and gradients, and
+//! Decoder bench: times the legacy three-pass chain (`mat_gram` →
+//! `bce_sparse_fwd` → `bce_sparse_bwd` → gram-backward `mat_matmul`) and the
+//! tiled one-pass gram+BCE kernel under exact and fast numerics on the
+//! cora-like preset. It asserts that exact equals legacy bit for bit and
+//! that fast − exact stays within `rgae_linalg::fast_exact_bound`, and
 //! writes `BENCH_decoder.json` at the workspace root (kernel seconds plus
 //! estimated peak decoder bytes for each path).
 //!
@@ -14,7 +15,7 @@ use std::time::Instant;
 
 use rgae_autodiff::Graph;
 use rgae_datasets::presets::cora_like;
-use rgae_linalg::{Csr, Mat, Rng64};
+use rgae_linalg::{Csr, DecoderNumerics, Mat, Rng64};
 use rgae_models::TrainData;
 use rgae_obs::Json;
 
@@ -44,10 +45,16 @@ fn legacy_round(z: &Mat, t: &Rc<Csr>, pw: f64, norm: f64) -> (u64, Vec<u64>) {
     )
 }
 
-fn fused_round(z: &Mat, t: &Rc<Csr>, pw: f64, norm: f64) -> (u64, Vec<u64>) {
+fn fused_round(
+    z: &Mat,
+    t: &Rc<Csr>,
+    pw: f64,
+    norm: f64,
+    numerics: DecoderNumerics,
+) -> (u64, Vec<u64>) {
     let mut g = Graph::new();
     let zv = g.leaf(z.clone());
-    let loss = g.gram_bce_logits_sparse(zv, t, pw, norm).unwrap();
+    let loss = g.gram_bce_logits_sparse(zv, t, pw, norm, numerics).unwrap();
     g.backward(loss).unwrap();
     (
         g.scalar(loss).to_bits(),
@@ -58,6 +65,30 @@ fn fused_round(z: &Mat, t: &Rc<Csr>, pw: f64, norm: f64) -> (u64, Vec<u64>) {
             .map(|v| v.to_bits())
             .collect(),
     )
+}
+
+/// Largest `|fast − exact| / bound` over the loss and every dZ entry.
+fn bound_ratio(
+    fast: &(u64, Vec<u64>),
+    exact: &(u64, Vec<u64>),
+    bound: &rgae_linalg::FastExactBound,
+) -> f64 {
+    let gap = |a: u64, b: u64| (f64::from_bits(a) - f64::from_bits(b)).abs();
+    let loss = gap(fast.0, exact.0) / bound.loss;
+    fast.1
+        .iter()
+        .zip(&exact.1)
+        .zip(bound.dz.as_slice())
+        .map(|((&a, &b), &bd)| gap(a, b) / bd)
+        .fold(loss, f64::max)
+}
+
+fn path(wall: f64, kernel: f64, bytes: usize) -> Json {
+    Json::Obj(vec![
+        ("wall_seconds_per_round".into(), Json::Num(wall)),
+        ("kernel_seconds_per_round".into(), Json::Num(kernel)),
+        ("peak_decoder_bytes".into(), Json::Int(bytes as i64)),
+    ])
 }
 
 /// Run `round` TIMED_ROUNDS times; return (wall seconds/round, kernel table).
@@ -98,21 +129,30 @@ fn main() {
 
     eprintln!("bench_decoder: N={n}, d={LATENT_DIM}, {TIMED_ROUNDS} rounds per path…");
     let (legacy_wall, legacy_stats) = timed(|| legacy_round(&z, &t, pw, norm));
-    let (fused_wall, fused_stats) = timed(|| fused_round(&z, &t, pw, norm));
+    let exact = |z: &Mat| fused_round(z, &t, pw, norm, DecoderNumerics::Exact);
+    let fast = |z: &Mat| fused_round(z, &t, pw, norm, DecoderNumerics::Fast);
+    let (exact_wall, exact_stats) = timed(|| exact(&z));
+    let (fast_wall, fast_stats) = timed(|| fast(&z));
 
+    let fused_kernel = ["fused_gram_bce_fwd_bwd"];
     let legacy_secs = kernel_seconds(&legacy_stats, &LEGACY_KERNELS);
-    let fused_secs = kernel_seconds(&fused_stats, &["fused_gram_bce_fwd_bwd"]);
-    let speedup = legacy_secs / fused_secs;
+    let exact_secs = kernel_seconds(&exact_stats, &fused_kernel);
+    let fast_secs = kernel_seconds(&fast_stats, &fused_kernel);
 
     // Peak transient decoder memory: the legacy backward holds the logits,
     // the BCE gradient, and its transpose as live N×N buffers; the fused
-    // kernel holds one B×N panel plus the N×d gradient accumulator.
+    // kernel holds one B×N panel plus the N×d gradient accumulator (fast
+    // numerics add a 2N row scratch per sweep task).
     let legacy_bytes = 3 * n * n * 8;
-    let fused_bytes = rgae_linalg::fused_panel_bytes(n) + n * LATENT_DIM * 8;
+    let exact_bytes = rgae_linalg::fused_panel_bytes(n) + n * LATENT_DIM * 8;
+    let fast_bytes = exact_bytes + 2 * n * 8 * rgae_par::threads();
 
-    let (loss_l, grad_l) = legacy_round(&z, &t, pw, norm);
-    let (loss_f, grad_f) = fused_round(&z, &t, pw, norm);
-    let identical = loss_l == loss_f && grad_l == grad_f;
+    let (legacy_out, exact_out, fast_out) = (legacy_round(&z, &t, pw, norm), exact(&z), fast(&z));
+    let identical = legacy_out == exact_out;
+    let exact_loss = f64::from_bits(exact_out.0);
+    let bound = rgae_linalg::fast_exact_bound(&z, &t, pw, norm, exact_loss);
+    let ratio = bound_ratio(&fast_out, &exact_out, &bound);
+    let fast_loss_rel = (f64::from_bits(fast_out.0) - exact_loss).abs() / exact_loss.abs();
 
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("bench_decoder".into())),
@@ -128,36 +168,53 @@ fn main() {
             Json::Int(rgae_linalg::decoder_tile() as i64),
         ),
         (
-            "legacy".into(),
-            Json::Obj(vec![
-                ("wall_seconds_per_round".into(), Json::Num(legacy_wall)),
-                ("kernel_seconds_per_round".into(), Json::Num(legacy_secs)),
-                ("peak_decoder_bytes".into(), Json::Int(legacy_bytes as i64)),
-            ]),
+            "simd".into(),
+            Json::Str(format!(
+                "{:?}",
+                rgae_linalg::numerics::SimdLevel::detected()
+            )),
         ),
         (
-            "fused".into(),
-            Json::Obj(vec![
-                ("wall_seconds_per_round".into(), Json::Num(fused_wall)),
-                ("kernel_seconds_per_round".into(), Json::Num(fused_secs)),
-                ("peak_decoder_bytes".into(), Json::Int(fused_bytes as i64)),
-            ]),
+            "legacy".into(),
+            path(legacy_wall, legacy_secs, legacy_bytes),
         ),
-        ("kernel_speedup".into(), Json::Num(speedup)),
-        ("wall_speedup".into(), Json::Num(legacy_wall / fused_wall)),
+        ("exact".into(), path(exact_wall, exact_secs, exact_bytes)),
+        ("fast".into(), path(fast_wall, fast_secs, fast_bytes)),
+        (
+            "exact_kernel_speedup".into(),
+            Json::Num(legacy_secs / exact_secs),
+        ),
+        (
+            "fast_kernel_speedup".into(),
+            Json::Num(legacy_secs / fast_secs),
+        ),
+        (
+            "fast_over_exact_speedup".into(),
+            Json::Num(exact_secs / fast_secs),
+        ),
         (
             "memory_ratio".into(),
-            Json::Num(legacy_bytes as f64 / fused_bytes as f64),
+            Json::Num(legacy_bytes as f64 / exact_bytes as f64),
         ),
         ("bit_identical".into(), Json::Bool(identical)),
+        ("fast_loss_rel_diff".into(), Json::Num(fast_loss_rel)),
+        ("fast_max_bound_ratio".into(), Json::Num(ratio)),
     ]);
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decoder.json");
     std::fs::write(out, format!("{}\n", report.encode())).unwrap();
     println!(
-        "bench_decoder: legacy {legacy_secs:.4}s fused {fused_secs:.4}s per round \
-         (kernel seconds), speedup {speedup:.2}x, memory {legacy_bytes} -> {fused_bytes} bytes, \
-         bit_identical={identical} -> {out}"
+        "bench_decoder: kernel seconds per round legacy {legacy_secs:.4} exact {exact_secs:.4} \
+         fast {fast_secs:.4} (fast {:.2}x exact), memory {legacy_bytes} -> {exact_bytes} bytes, \
+         bit_identical={identical}, fast/bound={ratio:.3e} -> {out}",
+        exact_secs / fast_secs
     );
-    assert!(identical, "fused decoder diverged from the legacy path");
+    assert!(
+        identical,
+        "exact fused decoder diverged from the legacy path"
+    );
+    assert!(
+        ratio <= 1.0,
+        "fast decoder left its error bound: ratio {ratio}"
+    );
 }

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rgae_autodiff::Graph;
-use rgae_linalg::{Csr, Rng64};
+use rgae_linalg::{Csr, DecoderNumerics, Rng64};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
@@ -105,7 +105,9 @@ fn bench_fused_decoder(c: &mut Criterion) {
             bch.iter(|| {
                 let mut g = Graph::new();
                 let zv = g.leaf(z.clone());
-                let loss = g.gram_bce_logits_sparse(zv, &t, 10.0, 0.5).unwrap();
+                let loss = g
+                    .gram_bce_logits_sparse(zv, &t, 10.0, 0.5, DecoderNumerics::Fast)
+                    .unwrap();
                 g.backward(loss).unwrap();
                 g.grad(zv).unwrap().frob_norm()
             })

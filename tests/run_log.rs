@@ -4,7 +4,7 @@
 //! says the run converged, and a timing table consistent with the reported
 //! wall-clock time.
 
-use rgae_core::{RConfig, RTrainer};
+use rgae_core::{CheckpointOpts, RConfig, RTrainer};
 use rgae_datasets::{citation_like, CitationSpec};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
@@ -95,8 +95,13 @@ fn quick_r_run_emits_a_coherent_event_stream() {
     assert!((summary.train_seconds - report.train_seconds).abs() < 1e-9);
     assert!((summary.final_acc - report.final_metrics.acc).abs() < 1e-12);
 
-    // The timing table precedes the run end and its clustering total is the
-    // reported training time; the phase sub-spans account for most of it.
+    assert_sub_spans_cover_clustering(&sink, report.train_seconds);
+}
+
+/// The timing table precedes the run end and its clustering total is the
+/// reported training time; the phase's direct sub-spans account for at
+/// least 90% of it.
+fn assert_sub_spans_cover_clustering(sink: &MemorySink, train_seconds: f64) {
     let summaries = sink.of_kind("timing_summary");
     assert_eq!(summaries.len(), 1);
     let Event::TimingSummary(entries) = &summaries[0] else {
@@ -106,7 +111,7 @@ fn quick_r_run_emits_a_coherent_event_stream() {
         .iter()
         .find(|e| e.path == "clustering")
         .expect("clustering span missing from timing table");
-    assert!((clustering.total_seconds - report.train_seconds).abs() < 1e-9);
+    assert!((clustering.total_seconds - train_seconds).abs() < 1e-9);
     // Direct children only — deeper descendants are already inside them.
     let sub_total: f64 = entries
         .iter()
@@ -125,6 +130,39 @@ fn quick_r_run_emits_a_coherent_event_stream() {
         "sub-spans cover too little of the phase: {sub_total} vs {}",
         clustering.total_seconds
     );
+}
+
+/// Checkpoint I/O runs under its own `checkpoint` span, so a run that
+/// saves every 2 epochs still has its clustering phase covered by
+/// sub-spans.
+#[test]
+fn checkpointed_run_sub_spans_cover_the_phase() {
+    let g = test_graph(3);
+    let data = TrainData::from_graph(&g);
+    let mut rng = Rng64::seed_from_u64(3);
+    let mut cfg = RConfig::for_dataset("cora-like").quick();
+    cfg.pretrain_epochs = 20;
+    cfg.max_epochs = 30;
+    let dir = std::env::temp_dir().join(format!("rgae-run-log-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let sink = MemorySink::new();
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
+    let report = RTrainer::with_recorder(cfg, &sink)
+        .with_checkpoints(CheckpointOpts::new(&dir).every(2))
+        .train(&mut model, &g, &mut rng)
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let Event::TimingSummary(entries) = &sink.of_kind("timing_summary")[0] else {
+        unreachable!()
+    };
+    let ckpt = entries
+        .iter()
+        .find(|e| e.path == "clustering/checkpoint")
+        .expect("checkpoint span missing from timing table");
+    assert!(ckpt.count >= 3, "expected a save every 2 epochs: {ckpt:?}");
+    assert_sub_spans_cover_clustering(&sink, report.train_seconds);
 }
 
 #[test]
