@@ -38,7 +38,9 @@ mod xi;
 pub use checkpoint::{CheckpointOpts, Phase, TrainerState};
 pub use diagnostics::{lambda_fd, lambda_fr, one_hot_targets, one_hot_targets_counted, q_prime};
 pub use eval::{evaluate, soft_assignments_or_kmeans, Metrics};
-pub use trainer::{train_plain, train_plain_ckpt, EpochRecord, FdMode, RConfig, RReport, RTrainer};
+pub use trainer::{
+    train_plain, train_plain_ckpt, Arm, EpochRecord, FdMode, RConfig, RReport, RTrainer,
+};
 pub use upsilon::{upsilon, UpsilonConfig, UpsilonOutcome};
 pub use xi::{xi, Omega, XiConfig};
 // The guard layer's configuration surface, re-exported so trainer callers

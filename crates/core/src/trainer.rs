@@ -705,9 +705,9 @@ fn emit_omega_guard(rec: &dyn Recorder, kind: &str, epoch: usize, detail: &str) 
     }
 }
 
-/// Which trainer a [`PhaseDriver`] runs. Plain 𝒟 is the R-𝒟 loop with both
-/// operators off (the paper's drop-in claim, §5.1); the variant decides
-/// only what differs:
+/// Which model an [`RTrainer`] trains: the un-modified 𝒟 or R-𝒟. Plain 𝒟
+/// is the R-𝒟 loop with both operators off (the paper's drop-in claim,
+/// §5.1); the arm decides only what differs:
 ///
 /// - R refreshes Ω (every M₁) and A^self_clus (every M₂) and checks
 ///   convergence; plain keeps Ω = 𝒱 and A^self_clus = A for the whole run;
@@ -716,10 +716,22 @@ fn emit_omega_guard(rec: &dyn Recorder, kind: &str, epoch: usize, detail: &str) 
 ///   use right now (extra Ξ assignments, so they consume the RNG stream);
 /// - R checkpoints carry Ω and the graphs (A^self_clus, snapshot graphs);
 /// - the checkpoint tag ([`VARIANT_PLAIN`] / [`VARIANT_R`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Variant {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arm {
+    /// The un-modified model 𝒟.
     Plain,
+    /// R-𝒟: Ξ and Υ switched on.
     R,
+}
+
+impl Arm {
+    /// Run-name prefix and checkpoint key: `plain` or `r`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Arm::Plain => "plain",
+            Arm::R => "r",
+        }
+    }
 }
 
 /// The mutable inputs of the clustering loop besides the model and the RNG:
@@ -739,18 +751,18 @@ struct LoopState {
 struct PhaseDriver<'c> {
     cfg: &'c RConfig,
     rec: &'c dyn Recorder,
-    variant: Variant,
+    arm: Arm,
 }
 
 impl PhaseDriver<'_> {
     fn tag(&self) -> u8 {
-        match self.variant {
-            Variant::Plain => VARIANT_PLAIN,
-            Variant::R => VARIANT_R,
+        match self.arm {
+            Arm::Plain => VARIANT_PLAIN,
+            Arm::R => VARIANT_R,
         }
     }
 
-    /// The newest readable checkpoint of this variant, when resuming. A
+    /// The newest readable checkpoint of this arm, when resuming. A
     /// finished state missing its metrics is unusable and counts as none.
     fn load_resume(&self, saver: Option<&Saver<'_>>) -> Option<TrainerState> {
         saver?.load_for_resume(self.tag()).filter(|st| {
@@ -761,7 +773,9 @@ impl PhaseDriver<'_> {
     /// Pretraining (vanilla reconstruction) then head initialisation and the
     /// phase-boundary save. A mid-pretraining `resumed` state re-enters the
     /// loop; a later one means pretraining already finished, and is handed
-    /// back untouched for the clustering phase.
+    /// back for the clustering phase. The phase-boundary state itself is
+    /// also imported here, so the model and RNG leave this phase pretrained
+    /// even when no clustering phase follows on this checkpoint directory.
     fn pretrain(
         &self,
         model: &mut dyn GaeModel,
@@ -777,6 +791,11 @@ impl PhaseDriver<'_> {
                     model.import_params(&st.model)?;
                     *rng = st.rng();
                     next_epoch
+                }
+                Phase::Clustering { next_epoch: 0 } => {
+                    model.import_params(&st.model)?;
+                    *rng = st.rng();
+                    return Ok(Some(st));
                 }
                 Phase::Clustering { .. } | Phase::Done => return Ok(Some(st)),
             },
@@ -867,7 +886,7 @@ impl PhaseDriver<'_> {
         ls: &LoopState,
         elapsed_seconds: f64,
     ) -> TrainerState {
-        let r = self.variant == Variant::R;
+        let r = self.arm == Arm::R;
         let mut st = TrainerState::new(self.tag(), phase, params, rng);
         if r {
             // A finished run resumes nothing, so its state carries no Ω.
@@ -992,7 +1011,7 @@ impl PhaseDriver<'_> {
 
         // Table 7 protection variant: one-shot Υ(A, P, 𝒱) before training.
         // Mid-clustering resumes restore the transformed graph instead.
-        if self.variant == Variant::R
+        if self.arm == Arm::R
             && epoch == 0
             && cfg.use_upsilon
             && cfg.fd_mode == FdMode::SingleStepProtection
@@ -1021,7 +1040,7 @@ impl PhaseDriver<'_> {
                 ls.snapshots
                     .push((epoch, model.embed(data), Rc::clone(&ls.a_self)));
             }
-            if self.variant == Variant::R {
+            if self.arm == Arm::R {
                 self.refresh_operators(model, data, rng, epoch, &mut ls)?;
             }
 
@@ -1109,7 +1128,7 @@ impl PhaseDriver<'_> {
             // checked on the Ω that drove the step) or by exhausting the
             // budget; both force a full evaluation so the last record
             // always carries metrics regardless of `eval_every`.
-            let converging = self.variant == Variant::R
+            let converging = self.arm == Arm::R
                 && ls.converged_at.is_none()
                 && epoch >= cfg.min_epochs
                 && ls.omega.coverage(n) >= cfg.convergence;
@@ -1298,7 +1317,7 @@ impl PhaseDriver<'_> {
         force_eval: bool,
     ) -> Result<(EpochRecord, rgae_linalg::Mat)> {
         let (cfg, rec) = (self.cfg, self.rec);
-        let r = self.variant == Variant::R;
+        let r = self.arm == Arm::R;
         let (omega, a_self) = (&ls.omega, &ls.a_self);
 
         let eval_t = span(rec, "eval");
@@ -1393,11 +1412,12 @@ impl PhaseDriver<'_> {
     }
 }
 
-/// The generic R-𝒟 trainer.
+/// The generic trainer: R-𝒟 by default, plain 𝒟 with [`RTrainer::with_arm`].
 pub struct RTrainer<'a> {
     cfg: RConfig,
     rec: &'a dyn Recorder,
     ckpt: Option<CheckpointOpts>,
+    arm: Arm,
 }
 
 impl RTrainer<'static> {
@@ -1407,6 +1427,7 @@ impl RTrainer<'static> {
             cfg,
             rec: &NOOP,
             ckpt: None,
+            arm: Arm::R,
         }
     }
 }
@@ -1418,7 +1439,15 @@ impl<'a> RTrainer<'a> {
             cfg,
             rec,
             ckpt: None,
+            arm: Arm::R,
         }
+    }
+
+    /// Train `arm` instead of R-𝒟. A plain trainer runs the same phases
+    /// with Ξ and Υ off, and tags its checkpoints as plain.
+    pub fn with_arm(mut self, arm: Arm) -> Self {
+        self.arm = arm;
+        self
     }
 
     /// Enable crash-safe checkpointing. Saves land in `opts.dir` every
@@ -1445,12 +1474,14 @@ impl<'a> RTrainer<'a> {
         PhaseDriver {
             cfg: &self.cfg,
             rec: self.rec,
-            variant: Variant::R,
+            arm: self.arm,
         }
     }
 
     /// Pretrain only (vanilla reconstruction + head initialisation). Useful
-    /// when several variants must share the same pretrained weights.
+    /// when several arms must share the same pretrained weights. Resuming
+    /// from a finished pretrain (its phase-boundary checkpoint) imports the
+    /// pretrained parameters and RNG instead of re-running the phase.
     pub fn pretrain(
         &self,
         model: &mut dyn GaeModel,
@@ -1466,7 +1497,7 @@ impl<'a> RTrainer<'a> {
         Ok(())
     }
 
-    /// Full R run: pretraining, then the Ξ/Υ clustering phase.
+    /// Full run: pretraining, then the clustering phase.
     pub fn train(
         &self,
         model: &mut dyn GaeModel,
@@ -1487,10 +1518,7 @@ impl<'a> RTrainer<'a> {
         rng: &mut Rng64,
     ) -> Result<RReport> {
         apply_thread_config(&self.cfg);
-        if self.rec.enabled() {
-            // Scope the kernel timing table to this phase.
-            let _ = rgae_par::take_kernel_stats();
-        }
+        reset_kernel_stats(self.rec);
         let driver = self.driver();
         let mut saver = Saver::open(self.ckpt.as_ref(), self.rec)?;
         let resumed = driver.load_resume(saver.as_ref());
@@ -1507,6 +1535,16 @@ fn apply_thread_config(cfg: &RConfig) {
     }
     if cfg.decoder_tile.is_some() {
         rgae_linalg::set_decoder_tile(cfg.decoder_tile);
+    }
+}
+
+/// Start the kernel timing table and the shared-constant reuse count afresh
+/// for the phase (or run) about to train, so [`flush_kernel_stats`] reports
+/// only its own work: nothing from an earlier pretrain or run.
+fn reset_kernel_stats(rec: &dyn Recorder) {
+    if rec.enabled() {
+        let _ = rgae_par::take_kernel_stats();
+        let _ = rgae_autodiff::take_constant_reuse_count();
     }
 }
 
@@ -1555,15 +1593,12 @@ pub fn train_plain_ckpt(
     ckpt: Option<&CheckpointOpts>,
 ) -> Result<RReport> {
     apply_thread_config(cfg);
-    if rec.enabled() {
-        // Scope the kernel timing table to this run.
-        let _ = rgae_par::take_kernel_stats();
-    }
+    reset_kernel_stats(rec);
     let data = TrainData::from_graph(graph);
     let driver = PhaseDriver {
         cfg,
         rec,
-        variant: Variant::Plain,
+        arm: Arm::Plain,
     };
     let mut saver = Saver::open(ckpt, rec)?;
     let resumed = driver.load_resume(saver.as_ref());

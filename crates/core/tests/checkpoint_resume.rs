@@ -9,7 +9,7 @@ mod common;
 use common::{assert_r_reports_eq, temp_dir, test_graph};
 use rgae_core::{train_plain, train_plain_ckpt, CheckpointOpts, Error, RConfig, RReport, RTrainer};
 use rgae_linalg::Rng64;
-use rgae_models::{ComposedModel, TrainData};
+use rgae_models::{ComposedModel, GaeModel, TrainData};
 use rgae_obs::{Event, MemorySink, Recorder, NOOP};
 
 /// Short run with a deterministic save schedule: no early convergence
@@ -91,6 +91,39 @@ fn r_halt_and_resume_matches_uninterrupted() {
     // The schedule must actually have exercised crash points in both phases
     // (pretraining saves at 7/14 + boundary; clustering at 7/14/21/28 + end).
     assert!(halts >= 5, "only {halts} halt points reached");
+}
+
+/// Resuming `RTrainer::pretrain` from its phase-boundary checkpoint hands
+/// back the pretrained model (encoder and clustering head) and the RNG as
+/// they stood after head initialisation, without re-running the phase.
+#[test]
+fn pretrain_resume_imports_the_finished_pretrain() {
+    let cfg = ckpt_cfg(Some(1));
+    let graph = test_graph(SEED);
+    let data = TrainData::from_graph(&graph);
+    let dir = temp_dir("pretrain-resume");
+    let pretrain = |resume: bool| {
+        let mut rng = Rng64::seed_from_u64(SEED);
+        let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
+        RTrainer::new(cfg.clone())
+            .with_checkpoints(CheckpointOpts::new(&dir).every(7).resume(resume))
+            .pretrain(&mut model, &data, &mut rng)
+            .unwrap();
+        (model, rng)
+    };
+    let (first, first_rng) = pretrain(false);
+    let (resumed, resumed_rng) = pretrain(true);
+    let _ = std::fs::remove_dir_all(&dir);
+    let bits =
+        |m: &rgae_linalg::Mat| -> Vec<u64> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(
+        bits(&first.embed(&data)),
+        bits(&resumed.embed(&data)),
+        "embeddings"
+    );
+    let heads = [&first, &resumed].map(|m| m.soft_assignments(&data).unwrap().unwrap());
+    assert_eq!(bits(&heads[0]), bits(&heads[1]), "clustering head");
+    assert_eq!(first_rng.state(), resumed_rng.state(), "RNG state");
 }
 
 /// The same contract holds on the parallel path.

@@ -47,7 +47,9 @@ impl Xoshiro256 {
     }
 }
 
-/// A seedable RNG with the handful of samplers the workspace needs.
+/// A seedable RNG with the handful of samplers the workspace needs. A clone
+/// continues the same stream independently of the original.
+#[derive(Clone)]
 pub struct Rng64 {
     inner: Xoshiro256,
     /// Spare Gaussian deviate produced by Box–Muller.

@@ -61,13 +61,21 @@ fn main() {
     cfg.min_epochs = cfg.max_epochs;
 
     let arms = vec![
-        SweepVariant::r("", cfg.clone(), opts.seed ^ 0x10),
-        SweepVariant::plain("", cfg.clone(), opts.seed ^ 0x10),
+        SweepVariant::r("", cfg.clone()),
+        SweepVariant::plain("", cfg.clone()),
     ];
-    let [r, p]: [RReport; 2] =
-        sweep_variants(&opts, rec, ModelKind::GmmVgae, dataset, &graph, &cfg, arms)
-            .try_into()
-            .expect("one report per arm");
+    let [r, p]: [RReport; 2] = sweep_variants(
+        &opts,
+        rec,
+        ModelKind::GmmVgae,
+        dataset,
+        &graph,
+        &cfg,
+        opts.seed,
+        arms,
+    )
+    .try_into()
+    .expect("one report per arm");
 
     let mut csv = CsvWriter::create(
         opts.out_dir.join("fig10_points.csv"),

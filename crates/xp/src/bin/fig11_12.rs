@@ -44,10 +44,12 @@ fn main() {
                 let mut cfg = base_cfg.clone();
                 cfg.xi.alpha1 = a1;
                 cfg.xi.alpha2 = a2;
-                SweepVariant::r(format!("a1={a1}-a2={a2}"), cfg, opts.seed ^ 0x11)
+                SweepVariant::r(format!("a1={a1}-a2={a2}"), cfg)
             })
             .collect();
-        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
+        let results = sweep_variants(
+            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
+        );
 
         for (&(a1, a2), m) in grid.iter().zip(results.iter().map(|r| &r.final_metrics)) {
             csv.row_strs(&[

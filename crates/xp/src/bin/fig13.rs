@@ -27,11 +27,7 @@ fn main() {
         .flat_map(|&gamma| {
             let mut cfg = base_cfg.clone();
             cfg.gamma = gamma;
-            let label = format!("gamma={gamma}");
-            [
-                SweepVariant::plain(label.clone(), cfg.clone(), opts.seed ^ 0x13),
-                SweepVariant::r(label, cfg, opts.seed ^ 0x13),
-            ]
+            SweepVariant::plain_and_r(&format!("gamma={gamma}"), &cfg)
         })
         .collect();
     let reports = sweep_variants(
@@ -41,6 +37,7 @@ fn main() {
         dataset,
         &graph,
         &base_cfg,
+        opts.seed,
         arms,
     );
 

@@ -57,15 +57,23 @@ fn main() {
     }
 
     // Experiment 1 trains R-GMM-VGAE, experiment 2 plain GMM-VGAE, both
-    // from the same pretrained weights and the same clustering-phase seed.
+    // from the same pretrained model and the same post-pretrain RNG stream.
     let arms = vec![
-        SweepVariant::r("", cfg.clone(), opts.seed ^ 0xA),
-        SweepVariant::plain("", cfg.clone(), opts.seed ^ 0xA),
+        SweepVariant::r("", cfg.clone()),
+        SweepVariant::plain("", cfg.clone()),
     ];
-    let [r_report, p_report]: [RReport; 2] =
-        sweep_variants(&opts, rec, ModelKind::GmmVgae, dataset, &graph, &cfg, arms)
-            .try_into()
-            .expect("one report per arm");
+    let [r_report, p_report]: [RReport; 2] = sweep_variants(
+        &opts,
+        rec,
+        ModelKind::GmmVgae,
+        dataset,
+        &graph,
+        &cfg,
+        opts.seed,
+        arms,
+    )
+    .try_into()
+    .expect("one report per arm");
 
     // Assemble the series.
     let fr_r_at_r = series(&r_report.epochs, |e| e.lambda_fr_restricted); // blue (a)

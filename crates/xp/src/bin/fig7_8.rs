@@ -25,10 +25,6 @@ fn run_both(
     variant: &str,
     rec: &dyn Recorder,
 ) -> (Metrics, Metrics) {
-    let arms = vec![
-        SweepVariant::plain(variant, cfg.clone(), opts.seed ^ 0x78),
-        SweepVariant::r(variant, cfg.clone(), opts.seed ^ 0x78),
-    ];
     let reports = sweep_variants(
         opts,
         rec,
@@ -36,7 +32,8 @@ fn run_both(
         DatasetKind::CoraLike,
         graph,
         cfg,
-        arms,
+        opts.seed,
+        SweepVariant::plain_and_r(variant, cfg),
     );
     (reports[0].final_metrics, reports[1].final_metrics)
 }

@@ -10,7 +10,8 @@ use rgae_models::baselines::{agc_lite, daegc_lite_data, mgae_lite, spectral_lite
 use rgae_models::ComposedModel;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    best_metrics, pct, print_table, rconfig_for_opts, run_pair, DatasetKind, HarnessOpts, ModelKind,
+    best_metrics, pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts,
+    ModelKind, SweepVariant,
 };
 
 /// DAEGC-lite: DGAE trained over the 2-hop proximity filter, its joint
@@ -103,17 +104,15 @@ fn main() {
             let mut plain_ms = Vec::new();
             let mut r_ms = Vec::new();
             for trial in 0..opts.trials {
-                let out = run_pair(
-                    model,
-                    dataset,
-                    &graph,
-                    &cfg,
-                    opts.seed + trial as u64,
-                    rec,
-                    &opts,
-                );
-                plain_ms.push(out.plain.final_metrics);
-                r_ms.push(out.r.final_metrics);
+                let arms = if model.is_second_group() {
+                    SweepVariant::plain_and_r("", &cfg)
+                } else {
+                    vec![SweepVariant::plain("", cfg.clone())]
+                };
+                let seed = opts.seed + trial as u64;
+                let reports = sweep_variants(&opts, rec, model, dataset, &graph, &cfg, seed, arms);
+                plain_ms.push(reports[0].final_metrics);
+                r_ms.extend(reports.get(1).map(|r| r.final_metrics));
             }
             emit(model.name(), best_metrics(&plain_ms), &mut rows);
             if model.is_second_group() {

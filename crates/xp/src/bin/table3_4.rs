@@ -1,11 +1,11 @@
 //! Tables 3 & 4: best and mean ± std clustering performance of GMM-VGAE and
 //! DGAE (± R) on the three air-traffic-like datasets.
 
-use rgae_core::Metrics;
+use rgae_core::{Metrics, RReport};
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    best_metrics, metric_stats, pct, pct_pm, print_table, rconfig_for_opts, run_pair, DatasetKind,
-    HarnessOpts, ModelKind,
+    best_metrics, metric_stats, pct, pct_pm, print_table, rconfig_for_opts, sweep_variants,
+    DatasetKind, HarnessOpts, ModelKind, SweepVariant,
 };
 
 fn main() {
@@ -38,19 +38,11 @@ fn main() {
             let mut plain_ms: Vec<Metrics> = Vec::new();
             let mut r_ms: Vec<Metrics> = Vec::new();
             for trial in 0..opts.trials {
-                let out = run_pair(
-                    model,
-                    dataset,
-                    &graph,
-                    &cfg,
-                    opts.seed + trial as u64,
-                    rec,
-                    &opts,
-                );
-                for (variant, m) in [
-                    ("plain", out.plain.final_metrics),
-                    ("r", out.r.final_metrics),
-                ] {
+                let seed = opts.seed + trial as u64;
+                let arms = SweepVariant::plain_and_r("", &cfg);
+                let reports = sweep_variants(&opts, rec, model, dataset, &graph, &cfg, seed, arms);
+                let [plain, r]: [RReport; 2] = reports.try_into().expect("two arms");
+                for (variant, m) in [("plain", plain.final_metrics), ("r", r.final_metrics)] {
                     csv.row_strs(&[
                         dataset.name().into(),
                         model.name().into(),
@@ -62,15 +54,8 @@ fn main() {
                     ])
                     .expect("csv row");
                 }
-                plain_ms.push(out.plain.final_metrics);
-                r_ms.push(out.r.final_metrics);
-                eprintln!(
-                    "  {} trial {}: {} | R {}",
-                    model.name(),
-                    trial,
-                    out.plain.final_metrics,
-                    out.r.final_metrics
-                );
+                plain_ms.push(plain.final_metrics);
+                r_ms.push(r.final_metrics);
             }
             for (label, ms) in [
                 (model.name().to_string(), &plain_ms),

@@ -3,9 +3,11 @@
 //! over trials. The claim under test: the Ξ/Υ operators add no significant
 //! overhead (their cost is near-linear; training is quadratic in N).
 
+use rgae_core::RReport;
 use rgae_viz::CsvWriter;
 use rgae_xp::{
-    print_table, rconfig_for_opts, run_pair, stats, DatasetKind, HarnessOpts, ModelKind,
+    print_table, rconfig_for_opts, stats, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
 };
 
 fn main() {
@@ -35,23 +37,15 @@ fn main() {
             let mut plain_pe = Vec::new();
             let mut r_pe = Vec::new();
             for trial in 0..opts.trials {
-                let out = run_pair(
-                    model,
-                    dataset,
-                    &graph,
-                    &cfg,
-                    opts.seed + trial as u64,
-                    rec,
-                    &opts,
-                );
-                plain_t.push(out.plain.train_seconds);
-                r_t.push(out.r.train_seconds);
-                plain_pe.push(out.plain.train_seconds / out.plain.epochs.len().max(1) as f64);
-                r_pe.push(out.r.train_seconds / out.r.epochs.len().max(1) as f64);
-                for (variant, t) in [
-                    ("plain", out.plain.train_seconds),
-                    ("r", out.r.train_seconds),
-                ] {
+                let seed = opts.seed + trial as u64;
+                let arms = SweepVariant::plain_and_r("", &cfg);
+                let reports = sweep_variants(&opts, rec, model, dataset, &graph, &cfg, seed, arms);
+                let [plain, r]: [RReport; 2] = reports.try_into().expect("two arms");
+                plain_t.push(plain.train_seconds);
+                r_t.push(r.train_seconds);
+                plain_pe.push(plain.train_seconds / plain.epochs.len().max(1) as f64);
+                r_pe.push(r.train_seconds / r.epochs.len().max(1) as f64);
+                for (variant, t) in [("plain", plain.train_seconds), ("r", r.train_seconds)] {
                     csv.row_strs(&[
                         dataset.name().into(),
                         model.name().into(),

@@ -39,14 +39,12 @@ fn main() {
                 // Delayed runs must not converge before Ξ even starts.
                 cfg.min_epochs = cfg.min_epochs.max(delay + base_cfg.m1);
                 cfg.max_epochs = cfg.max_epochs.max(delay + base_cfg.m1 + 20);
-                SweepVariant::r(
-                    format!("delay={delay}"),
-                    cfg,
-                    opts.seed ^ 0xD11A ^ delay as u64,
-                )
+                SweepVariant::r(format!("delay={delay}"), cfg)
             })
             .collect();
-        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
+        let results = sweep_variants(
+            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
+        );
 
         let mut row = vec![format!("R-{}", model.name())];
         for (delay, m) in delays.iter().zip(results.iter().map(|r| &r.final_metrics)) {

@@ -36,10 +36,12 @@ fn main() {
             .map(|&(mode, label)| {
                 let mut cfg = base_cfg.clone();
                 cfg.fd_mode = mode;
-                SweepVariant::r(label, cfg, opts.seed ^ 0xF0)
+                SweepVariant::r(label, cfg)
             })
             .collect();
-        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
+        let results = sweep_variants(
+            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
+        );
 
         let mut row = vec![format!("R-{}", model.name())];
         for ((_, label), m) in modes.iter().zip(results.iter().map(|r| &r.final_metrics)) {

@@ -37,10 +37,12 @@ fn main() {
                 cfg.xi.use_alpha1 = !no_a1;
                 cfg.xi.use_alpha2 = !no_a2;
                 cfg.use_xi = !no_xi;
-                SweepVariant::r(label.replace(' ', "_"), cfg, opts.seed ^ 0x8)
+                SweepVariant::r(label.replace(' ', "_"), cfg)
             })
             .collect();
-        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
+        let results = sweep_variants(
+            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
+        );
 
         let mut row = vec![format!("R-{}", model.name())];
         for ((label, ..), m) in ablations

@@ -36,10 +36,12 @@ fn main() {
                 cfg.upsilon.add_edges = add;
                 cfg.upsilon.drop_edges = drop;
                 cfg.use_upsilon = use_upsilon;
-                SweepVariant::r(label.replace(' ', "_"), cfg, opts.seed ^ 0x9)
+                SweepVariant::r(label.replace(' ', "_"), cfg)
             })
             .collect();
-        let results = sweep_variants(&opts, rec, model, dataset, &graph, &base_cfg, variants);
+        let results = sweep_variants(
+            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
+        );
 
         let mut row = vec![format!("R-{}", model.name())];
         for ((label, ..), m) in ablations

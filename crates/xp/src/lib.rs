@@ -4,9 +4,7 @@
 
 use std::path::PathBuf;
 
-use rgae_core::{
-    train_plain_ckpt, CheckpointOpts, GuardConfig, Metrics, RConfig, RReport, RTrainer, XiConfig,
-};
+use rgae_core::{Arm, CheckpointOpts, GuardConfig, Metrics, RConfig, RReport, RTrainer, XiConfig};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
 use rgae_models::{ComposedModel, GaeModel, TrainData};
@@ -440,72 +438,6 @@ pub fn rconfig_for_opts(model: ModelKind, dataset: DatasetKind, opts: &HarnessOp
     cfg
 }
 
-/// One trial of the Tables 1–4 protocol: pretrain once, then run the plain
-/// clustering phase and the R clustering phase from the *same* pretrained
-/// weights.
-pub struct PairOutcome {
-    /// Plain 𝒟 result.
-    pub plain: RReport,
-    /// R-𝒟 result.
-    pub r: RReport,
-}
-
-/// Run the 𝒟 / R-𝒟 pair for one model on one graph. Each half of the pair
-/// is logged as its own run (variants `plain` and `r`) through `rec`, and
-/// checkpoints into its own sub-directory when the harness has
-/// `--checkpoint-dir` set.
-pub fn run_pair(
-    model: ModelKind,
-    dataset: DatasetKind,
-    graph: &AttributedGraph,
-    cfg: &RConfig,
-    seed: u64,
-    rec: &dyn Recorder,
-    opts: &HarnessOpts,
-) -> PairOutcome {
-    let binary = bin_name();
-    let data = TrainData::from_graph(graph);
-    let mut rng = Rng64::seed_from_u64(seed);
-    let (mut plain_model, mut r_model) =
-        model.build_pair(data.num_features(), graph.num_classes(), &mut rng);
-    let mut trainer = RTrainer::with_recorder(cfg.clone(), rec);
-    if let Some(ckpt) = opts.ckpt_for(&binary, dataset.name(), model.name(), "r", seed) {
-        trainer = trainer.with_checkpoints(ckpt);
-    }
-    // Shared pretraining on the R twin's weights == plain twin's weights
-    // (identical init); pretrain each with the same RNG stream for identical
-    // trajectories where sampling is involved.
-    let mut rng_a = Rng64::seed_from_u64(seed ^ 0x5151);
-    let mut rng_b = Rng64::seed_from_u64(seed ^ 0x5151);
-    emit_run_start(
-        rec,
-        &binary,
-        model.name(),
-        dataset.name(),
-        "plain",
-        seed,
-        cfg,
-    );
-    let plain_ckpt = opts.ckpt_for(&binary, dataset.name(), model.name(), "plain", seed);
-    let plain = train_plain_ckpt(
-        plain_model.as_mut(),
-        graph,
-        cfg,
-        &mut rng_a,
-        rec,
-        plain_ckpt.as_ref(),
-    )
-    .unwrap();
-    emit_run_start(rec, &binary, model.name(), dataset.name(), "r", seed, cfg);
-    trainer
-        .pretrain(r_model.as_mut(), &data, &mut rng_b)
-        .unwrap();
-    let r = trainer
-        .train_clustering_phase(r_model.as_mut(), graph, &data, &mut rng_b)
-        .unwrap();
-    PairOutcome { plain, r }
-}
-
 /// One full R run of `model` on `graph`, pretraining included, with the
 /// model and its RNG seeded by `--seed` (Figs. 4 and 9). It is logged as run
 /// `r` and, with `--checkpoint-dir`, checkpointed under the `r` key.
@@ -537,56 +469,41 @@ pub fn run_r(
     trainer.train(m.as_mut(), graph, &mut rng).unwrap()
 }
 
-/// Which trainer a [`SweepVariant`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arm {
-    /// The un-modified model 𝒟, via [`train_plain_ckpt`].
-    Plain,
-    /// R-𝒟, via [`RTrainer::train_clustering_phase`].
-    R,
-}
-
-impl Arm {
-    /// Run-name prefix: `plain` or `r`.
-    fn name(self) -> &'static str {
-        match self {
-            Arm::Plain => "plain",
-            Arm::R => "r",
-        }
-    }
-}
-
 /// One arm of a shared-pretrain sweep (see [`sweep_variants`]).
 pub struct SweepVariant {
-    /// Which trainer the arm runs.
+    /// Which model the arm trains.
     pub arm: Arm,
     /// Run label; see [`SweepVariant::run_name`].
     pub label: String,
     /// The arm's full configuration.
     pub cfg: RConfig,
-    /// Seed of the arm's clustering-phase RNG stream.
-    pub seed: u64,
 }
 
 impl SweepVariant {
     /// An R-𝒟 arm.
-    pub fn r(label: impl Into<String>, cfg: RConfig, seed: u64) -> Self {
+    pub fn r(label: impl Into<String>, cfg: RConfig) -> Self {
         SweepVariant {
             arm: Arm::R,
             label: label.into(),
             cfg,
-            seed,
         }
     }
 
     /// A plain 𝒟 arm.
-    pub fn plain(label: impl Into<String>, cfg: RConfig, seed: u64) -> Self {
+    pub fn plain(label: impl Into<String>, cfg: RConfig) -> Self {
         SweepVariant {
             arm: Arm::Plain,
             label: label.into(),
             cfg,
-            seed,
         }
+    }
+
+    /// The Tables 1–5 pair: a plain 𝒟 arm, then an R-𝒟 arm, both on `cfg`.
+    pub fn plain_and_r(label: &str, cfg: &RConfig) -> Vec<Self> {
+        vec![
+            SweepVariant::plain(label, cfg.clone()),
+            SweepVariant::r(label, cfg.clone()),
+        ]
     }
 
     /// The run-log variant and checkpoint key: `<arm>-<label>`, or the bare
@@ -600,19 +517,29 @@ impl SweepVariant {
     }
 }
 
-/// The shared-pretrain protocol of Tables 6–9 and Figs. 5–8 and 10–13:
-/// pretrain `model` once (seeded by `--seed`), then run every arm, in the
-/// given order, on a clone of the pretrained weights. A plain arm re-runs
-/// only the head initialisation before its clustering phase
-/// (`pretrain_epochs = 0`); an R arm goes straight to the clustering phase.
-/// Each arm is logged as its own run and, with `--checkpoint-dir`,
-/// checkpointed into its own [`SweepVariant::run_name`] directory. Returns
-/// one report per arm, in arm order.
+/// The plain-vs-R protocol of every table and figure that compares arms
+/// (Tables 1–9 and 17, Figs. 5–8 and 10–13): pretrain `model` once, then run
+/// every arm, in the given order, from that one pretrained model.
 ///
-/// The shared pretrain is not checkpointed: it is deterministic, and
-/// [`RTrainer::pretrain`] returns early on a clustering-phase state without
-/// importing its parameters, so a checkpointed shared pretrain would hand
-/// arms that never started untrained weights.
+/// RNG protocol: the model is built from `Rng64::seed_from_u64(seed)`, and
+/// pretraining plus head initialisation consume a second stream,
+/// `Rng64::seed_from_u64(seed ^ 0x5151)`. Every arm then gets a clone of
+/// the pretrained model and a clone of that stream as it stands after
+/// pretraining, so every arm reports bit-equal `pretrain_metrics`, and a
+/// plain or R arm is bit-identical to a solo full run
+/// ([`rgae_core::train_plain_ckpt`] or [`RTrainer::train`]) on the same
+/// model and stream.
+///
+/// Each arm runs only the clustering phase, is logged as its own run and,
+/// with `--checkpoint-dir`, checkpoints into its own
+/// [`SweepVariant::run_name`] directory. The shared pretrain is not a run in
+/// the log (its spans come ahead of the arms' `run_start`s) and checkpoints
+/// under the `pretrain` key, so a resume re-runs neither it nor a finished
+/// arm. When every arm carries the same non-empty label, that key is
+/// `pretrain-<label>`: Figs. 7–8 run one sweep per corrupted graph with the
+/// same model and seed, and the label keeps their pretrains apart. Returns
+/// one report per arm, in arm order.
+#[allow(clippy::too_many_arguments)]
 pub fn sweep_variants(
     opts: &HarnessOpts,
     rec: &dyn Recorder,
@@ -620,54 +547,61 @@ pub fn sweep_variants(
     dataset: DatasetKind,
     graph: &AttributedGraph,
     base_cfg: &RConfig,
+    seed: u64,
     variants: Vec<SweepVariant>,
 ) -> Vec<RReport> {
     let binary = bin_name();
     let data = TrainData::from_graph(graph);
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let mut pretrained = model.build(data.num_features(), graph.num_classes(), &mut rng);
-    RTrainer::with_recorder(base_cfg.clone(), rec)
+    let ckpt = |run: &str| opts.ckpt_for(&binary, dataset.name(), model.name(), run, seed);
+    let mut pretrained = model.build(
+        data.num_features(),
+        graph.num_classes(),
+        &mut Rng64::seed_from_u64(seed),
+    );
+    let mut rng = Rng64::seed_from_u64(seed ^ 0x5151);
+    let mut trainer = RTrainer::with_recorder(base_cfg.clone(), rec);
+    let pretrain_key = match variants.first() {
+        Some(v) if !v.label.is_empty() && variants.iter().all(|w| w.label == v.label) => {
+            format!("pretrain-{}", v.label)
+        }
+        _ => "pretrain".to_owned(),
+    };
+    if let Some(c) = ckpt(&pretrain_key) {
+        trainer = trainer.with_checkpoints(c);
+    }
+    trainer
         .pretrain(pretrained.as_mut(), &data, &mut rng)
         .unwrap();
     variants
         .into_iter()
         .map(|v| {
             let run = v.run_name();
-            let mut cfg = v.cfg;
-            if v.arm == Arm::Plain {
-                cfg.pretrain_epochs = 0;
-            }
             emit_run_start(
                 rec,
                 &binary,
                 model.name(),
                 dataset.name(),
                 &run,
-                opts.seed,
-                &cfg,
+                seed,
+                &v.cfg,
             );
-            let ckpt = opts.ckpt_for(&binary, dataset.name(), model.name(), &run, opts.seed);
-            let mut arm_model = pretrained.clone_box();
-            let mut rng_v = Rng64::seed_from_u64(v.seed);
-            let report = match v.arm {
-                Arm::Plain => train_plain_ckpt(
-                    arm_model.as_mut(),
-                    graph,
-                    &cfg,
-                    &mut rng_v,
-                    rec,
-                    ckpt.as_ref(),
-                ),
-                Arm::R => {
-                    let mut trainer = RTrainer::with_recorder(cfg, rec);
-                    if let Some(ckpt) = ckpt {
-                        trainer = trainer.with_checkpoints(ckpt);
-                    }
-                    trainer.train_clustering_phase(arm_model.as_mut(), graph, &data, &mut rng_v)
-                }
+            let mut trainer = RTrainer::with_recorder(v.cfg, rec).with_arm(v.arm);
+            if let Some(c) = ckpt(&run) {
+                trainer = trainer.with_checkpoints(c);
             }
-            .unwrap();
-            eprintln!("  {run} {}: {}", model.name(), report.final_metrics);
+            let report = trainer
+                .train_clustering_phase(
+                    pretrained.clone_box().as_mut(),
+                    graph,
+                    &data,
+                    &mut rng.clone(),
+                )
+                .unwrap();
+            eprintln!(
+                "  {run} {} seed {seed}: {}",
+                model.name(),
+                report.final_metrics
+            );
             report
         })
         .collect()
@@ -827,11 +761,9 @@ mod tests {
             ..HarnessOpts::default()
         };
         let sweep = |opts: &HarnessOpts, rec: &dyn Recorder| {
-            let arms = vec![
-                SweepVariant::plain("lbl", cfg.clone(), 9),
-                SweepVariant::r("lbl", cfg.clone(), 9),
-            ];
-            let reports = sweep_variants(opts, rec, ModelKind::Dgae, dataset, &graph, &cfg, arms);
+            let arms = SweepVariant::plain_and_r("lbl", &cfg);
+            let reports =
+                sweep_variants(opts, rec, ModelKind::Dgae, dataset, &graph, &cfg, 4, arms);
             assert_eq!(reports.len(), 2);
             reports
         };
@@ -850,10 +782,12 @@ mod tests {
         let reference = sweep(&opts, &NoopRecorder);
         opts.checkpoint_dir = Some(root.clone());
         let fresh = sweep(&opts, &NoopRecorder);
-        for arm in ["plain", "r"] {
-            let dir = root.join(format!("{}-brazil-air-like-DGAE-{arm}-lbl-4", bin_name()));
-            assert!(dir.is_dir(), "missing checkpoint directory {dir:?}");
+        let dir = |key: &str| root.join(format!("{}-brazil-air-like-DGAE-{key}-lbl-4", bin_name()));
+        for key in ["pretrain", "plain", "r"] {
+            assert!(dir(key).is_dir(), "missing checkpoint directory {key}");
         }
+        // The R arm never started: it must run from the resumed pretrain.
+        std::fs::remove_dir_all(dir("r")).unwrap();
         opts.resume = true;
         let log = MemorySink::new();
         let resumed = sweep(&opts, &log);
@@ -863,7 +797,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, Event::Checkpoint { action, .. } if action == "loaded"))
             .count();
-        assert_eq!(loaded, 2, "each arm resumes from its own checkpoint");
+        assert_eq!(loaded, 2, "the pretrain and the plain arm resume");
 
         assert_eq!(
             bits(&reference),
@@ -873,6 +807,107 @@ mod tests {
         assert_eq!(bits(&fresh), bits(&resumed), "resume changed a run");
         assert_eq!(reference[0].epochs.len(), 10);
         assert_eq!(reference[0].converged_at, None);
+    }
+
+    /// A short quick-preset config on a small air graph, for sweep tests.
+    fn small_air(model: ModelKind) -> (DatasetKind, AttributedGraph, RConfig) {
+        let dataset = DatasetKind::BrazilAir;
+        let mut cfg = rconfig_for(model, dataset, true);
+        cfg.pretrain_epochs = 15;
+        cfg.max_epochs = 12;
+        cfg.min_epochs = 6;
+        (dataset, dataset.build(0.5, 3), cfg)
+    }
+
+    fn metric_bits(m: &Metrics) -> [u64; 3] {
+        [m.acc.to_bits(), m.nmi.to_bits(), m.ari.to_bits()]
+    }
+
+    fn assert_same_run(a: &RReport, b: &RReport, what: &str) {
+        let losses =
+            |r: &RReport| -> Vec<u64> { r.epochs.iter().map(|e| e.loss.to_bits()).collect() };
+        assert_eq!(losses(a), losses(b), "{what}: per-epoch losses");
+        let pa = metric_bits(&a.pretrain_metrics);
+        assert_eq!(
+            pa,
+            metric_bits(&b.pretrain_metrics),
+            "{what}: pretrain metrics"
+        );
+        let fa = metric_bits(&a.final_metrics);
+        assert_eq!(fa, metric_bits(&b.final_metrics), "{what}: final metrics");
+    }
+
+    /// Sharing one pretrain between the arms changes no result: each arm
+    /// equals a solo full run on the same model seed and RNG stream.
+    #[test]
+    fn shared_pretrain_matches_solo_full_runs() {
+        let seed = 21;
+        for model in [ModelKind::Gae, ModelKind::Dgae, ModelKind::GmmVgae] {
+            let (dataset, graph, cfg) = small_air(model);
+            let arms = SweepVariant::plain_and_r("", &cfg);
+            let opts = HarnessOpts::default();
+            let swept = sweep_variants(
+                &opts,
+                &NoopRecorder,
+                model,
+                dataset,
+                &graph,
+                &cfg,
+                seed,
+                arms,
+            );
+            let solo = |arm: Arm| {
+                let data = TrainData::from_graph(&graph);
+                let mut rng = Rng64::seed_from_u64(seed);
+                let mut m = model.build(data.num_features(), graph.num_classes(), &mut rng);
+                let mut rng = Rng64::seed_from_u64(seed ^ 0x5151);
+                match arm {
+                    Arm::Plain => rgae_core::train_plain_ckpt(
+                        m.as_mut(),
+                        &graph,
+                        &cfg,
+                        &mut rng,
+                        &NoopRecorder,
+                        None,
+                    ),
+                    Arm::R => RTrainer::new(cfg.clone()).train(m.as_mut(), &graph, &mut rng),
+                }
+                .unwrap()
+            };
+            assert_same_run(
+                &swept[0],
+                &solo(Arm::Plain),
+                &format!("plain {}", model.name()),
+            );
+            assert_same_run(&swept[1], &solo(Arm::R), &format!("R {}", model.name()));
+        }
+    }
+
+    /// Every arm of a sweep starts its clustering phase from the same
+    /// pretrained model, head included, so all report bit-equal pretrain
+    /// metrics, whatever their arm or configuration.
+    #[test]
+    fn every_arm_starts_from_the_same_model() {
+        for model in ModelKind::second_group() {
+            let (dataset, graph, cfg) = small_air(model);
+            let mut delayed = cfg.clone();
+            delayed.delay_xi = 5;
+            let mut arms = SweepVariant::plain_and_r("", &cfg);
+            arms.push(SweepVariant::r("delayed", delayed.clone()));
+            arms.push(SweepVariant::plain("delayed", delayed));
+            let opts = HarnessOpts::default();
+            let reports =
+                sweep_variants(&opts, &NoopRecorder, model, dataset, &graph, &cfg, 8, arms);
+            let first = metric_bits(&reports[0].pretrain_metrics);
+            for (i, r) in reports.iter().enumerate() {
+                assert_eq!(
+                    metric_bits(&r.pretrain_metrics),
+                    first,
+                    "{} arm {i}",
+                    model.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! cargo run --release -p rgae-xp --example airport_tiers
 //! ```
 
-use rgae_xp::{rconfig_for, run_pair, DatasetKind, ModelKind};
+use rgae_core::RReport;
+use rgae_obs::NOOP;
+use rgae_xp::{rconfig_for, sweep_variants, DatasetKind, HarnessOpts, ModelKind, SweepVariant};
 
 fn main() {
     let dataset = DatasetKind::BrazilAir;
@@ -36,17 +38,12 @@ fn main() {
 
     let model = ModelKind::GmmVgae;
     let cfg = rconfig_for(model, dataset, true);
-    let out = run_pair(
-        model,
-        dataset,
-        &graph,
-        &cfg,
-        3,
-        &rgae_obs::NOOP,
-        &rgae_xp::HarnessOpts::default(),
-    );
-    println!("\nGMM-VGAE   : {}", out.plain.final_metrics);
-    println!("R-GMM-VGAE : {}", out.r.final_metrics);
+    let opts = HarnessOpts::default();
+    let arms = SweepVariant::plain_and_r("", &cfg);
+    let reports = sweep_variants(&opts, &NOOP, model, dataset, &graph, &cfg, 3, arms);
+    let [plain, r]: [RReport; 2] = reports.try_into().expect("two arms");
+    println!("\nGMM-VGAE   : {}", plain.final_metrics);
+    println!("R-GMM-VGAE : {}", r.final_metrics);
     println!("\nThe R-variant's edge edits matter here: hub-to-hub links between");
     println!("different tiers are exactly the clustering-irrelevant edges Upsilon drops.");
 }

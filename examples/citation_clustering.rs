@@ -6,7 +6,12 @@
 //! cargo run --release -p rgae-xp --example citation_clustering
 //! ```
 
-use rgae_xp::{pct, print_table, rconfig_for, run_pair, DatasetKind, ModelKind};
+use rgae_core::RReport;
+use rgae_obs::NOOP;
+use rgae_xp::{
+    pct, print_table, rconfig_for, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
+};
 
 fn main() {
     let dataset = DatasetKind::CiteseerLike;
@@ -19,29 +24,20 @@ fn main() {
         graph.num_classes()
     );
 
+    let opts = HarnessOpts::default();
     let mut rows = Vec::new();
     for model in ModelKind::all() {
         let cfg = rconfig_for(model, dataset, true);
-        let out = run_pair(
-            model,
-            dataset,
-            &graph,
-            &cfg,
-            1,
-            &rgae_obs::NOOP,
-            &rgae_xp::HarnessOpts::default(),
-        );
-        println!(
-            "{:<9} plain {} | R {}",
-            model.name(),
-            out.plain.final_metrics,
-            out.r.final_metrics
-        );
+        let arms = SweepVariant::plain_and_r("", &cfg);
+        let reports = sweep_variants(&opts, &NOOP, model, dataset, &graph, &cfg, 1, arms);
+        let [plain, r]: [RReport; 2] = reports.try_into().expect("two arms");
+        let (plain, r) = (plain.final_metrics, r.final_metrics);
+        println!("{:<9} plain {plain} | R {r}", model.name());
         rows.push(vec![
             model.name().into(),
-            pct(out.plain.final_metrics.acc),
-            pct(out.r.final_metrics.acc),
-            pct(out.r.final_metrics.acc - out.plain.final_metrics.acc),
+            pct(plain.acc),
+            pct(r.acc),
+            pct(r.acc - plain.acc),
         ]);
     }
     print_table(

@@ -3,15 +3,40 @@
 //! themselves are exercised by `cargo run`; these tests cover the library
 //! plumbing they share.)
 
-use rgae_core::{train_plain, Metrics, RTrainer};
+use rgae_core::{train_plain, Metrics, RReport, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{daegc_lite_data, spectral_lite};
 use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
 use rgae_viz::{ascii_lines, ascii_scatter, CsvWriter};
 use rgae_xp::{
-    best_metrics, metric_stats, pct, pct_pm, rconfig_for, run_pair, stats, DatasetKind,
-    HarnessOpts, ModelKind,
+    best_metrics, metric_stats, pct, pct_pm, rconfig_for, stats, sweep_variants, DatasetKind,
+    HarnessOpts, ModelKind, SweepVariant,
 };
+
+/// One plain and one R arm from one shared pretrain (the Tables 1–5
+/// protocol), untraced and without checkpoints.
+fn plain_and_r(
+    model: ModelKind,
+    dataset: DatasetKind,
+    graph: &rgae_graph::AttributedGraph,
+    cfg: &rgae_core::RConfig,
+    seed: u64,
+) -> [RReport; 2] {
+    let arms = SweepVariant::plain_and_r("", cfg);
+    let opts = HarnessOpts::default();
+    sweep_variants(
+        &opts,
+        &rgae_obs::NOOP,
+        model,
+        dataset,
+        graph,
+        cfg,
+        seed,
+        arms,
+    )
+    .try_into()
+    .expect("two arms")
+}
 
 #[test]
 fn harness_defaults_are_sane() {
@@ -32,17 +57,9 @@ fn tables_1_to_4_pathway() {
         let mut plain_ms: Vec<Metrics> = Vec::new();
         let mut r_ms: Vec<Metrics> = Vec::new();
         for trial in 0..2 {
-            let out = run_pair(
-                model,
-                dataset,
-                &graph,
-                &cfg,
-                100 + trial,
-                &rgae_obs::NOOP,
-                &rgae_xp::HarnessOpts::default(),
-            );
-            plain_ms.push(out.plain.final_metrics);
-            r_ms.push(out.r.final_metrics);
+            let [plain, r] = plain_and_r(model, dataset, &graph, &cfg, 100 + trial);
+            plain_ms.push(plain.final_metrics);
+            r_ms.push(r.final_metrics);
         }
         let b = best_metrics(&r_ms);
         assert!(b.acc > 0.2, "{} on {}", model.name(), dataset.name());
@@ -59,18 +76,10 @@ fn table5_pathway_times_are_positive() {
     let dataset = DatasetKind::CoraLike;
     let graph = dataset.build(0.1, 2);
     let cfg = rconfig_for(ModelKind::Dgae, dataset, true);
-    let out = run_pair(
-        ModelKind::Dgae,
-        dataset,
-        &graph,
-        &cfg,
-        5,
-        &rgae_obs::NOOP,
-        &rgae_xp::HarnessOpts::default(),
-    );
-    assert!(out.plain.train_seconds > 0.0);
-    assert!(out.r.train_seconds > 0.0);
-    let s = stats(&[out.plain.train_seconds, out.r.train_seconds]);
+    let [plain, r] = plain_and_r(ModelKind::Dgae, dataset, &graph, &cfg, 5);
+    assert!(plain.train_seconds > 0.0);
+    assert!(r.train_seconds > 0.0);
+    let s = stats(&[plain.train_seconds, r.train_seconds]);
     assert!(s.mean > 0.0);
 }
 

@@ -1,13 +1,13 @@
 //! Cross-crate integration: dataset generation → training data → models →
 //! R-trainer → metrics → figure tooling, exercised end to end.
 
-use rgae_core::{evaluate, upsilon, xi, RConfig, RTrainer, UpsilonConfig, XiConfig};
+use rgae_core::{evaluate, upsilon, xi, RConfig, RReport, RTrainer, UpsilonConfig, XiConfig};
 use rgae_graph::{edge_homophily, GraphStats};
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{agc_lite, mgae_lite};
 use rgae_models::TrainData;
 use rgae_viz::{pca_2d, tsne, TsneConfig};
-use rgae_xp::{rconfig_for, run_pair, DatasetKind, ModelKind};
+use rgae_xp::{rconfig_for, sweep_variants, DatasetKind, HarnessOpts, ModelKind, SweepVariant};
 
 #[test]
 fn full_pipeline_on_every_dataset_preset() {
@@ -68,28 +68,29 @@ fn operators_compose_on_real_embeddings() {
 }
 
 #[test]
-fn run_pair_protocol_is_consistent() {
+fn plain_and_r_arms_start_from_one_pretrained_model() {
     let dataset = DatasetKind::BrazilAir;
     let graph = dataset.build(1.0, 4);
     let cfg = rconfig_for(ModelKind::GmmVgae, dataset, true);
-    let out = run_pair(
+    let arms = SweepVariant::plain_and_r("", &cfg);
+    let opts = HarnessOpts::default();
+    let [plain, r]: [RReport; 2] = sweep_variants(
+        &opts,
+        &rgae_obs::NOOP,
         ModelKind::GmmVgae,
         dataset,
         &graph,
         &cfg,
         9,
-        &rgae_obs::NOOP,
-        &rgae_xp::HarnessOpts::default(),
-    );
-    // Shared pretraining: both phases start from the same place.
-    assert!(
-        (out.plain.pretrain_metrics.acc - out.r.pretrain_metrics.acc).abs() < 0.1,
-        "pretrain {} vs {}",
-        out.plain.pretrain_metrics.acc,
-        out.r.pretrain_metrics.acc
-    );
-    assert!(out.plain.final_metrics.acc > 0.25);
-    assert!(out.r.final_metrics.acc > 0.25);
+        arms,
+    )
+    .try_into()
+    .expect("two arms");
+    // Shared pretraining: both phases start from the same place, bit for bit.
+    let bits = |m: &rgae_core::Metrics| [m.acc.to_bits(), m.nmi.to_bits(), m.ari.to_bits()];
+    assert_eq!(bits(&plain.pretrain_metrics), bits(&r.pretrain_metrics));
+    assert!(plain.final_metrics.acc > 0.25);
+    assert!(r.final_metrics.acc > 0.25);
 }
 
 #[test]
