@@ -1,22 +1,10 @@
 //! The tape: nodes, forward ops, and the backward pass.
 
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rgae_linalg::{sigmoid, softplus, Csr, DecoderNumerics, Mat};
 
 use crate::{Error, Result};
-
-/// Process-wide count of [`Graph::constant_shared`] calls — each one is a
-/// dense-matrix deep copy the tape did *not* make. Drained into the run
-/// log by the trainers (see `rgae-core`).
-static CONSTANT_SHARED_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Drain the shared-constant reuse counter (allocations saved since the
-/// last call).
-pub fn take_constant_reuse_count() -> u64 {
-    CONSTANT_SHARED_REUSES.swap(0, Ordering::Relaxed)
-}
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the
 /// [`Graph`] that created it.
@@ -171,7 +159,6 @@ impl Graph {
     /// no deep copy. Use for per-step tapes over static data (features,
     /// targets) that would otherwise be cloned every epoch.
     pub fn constant_shared(&mut self, value: &Rc<Mat>) -> Var {
-        CONSTANT_SHARED_REUSES.fetch_add(1, Ordering::Relaxed);
         self.push(Rc::clone(value), Op::Constant, false)
     }
 
@@ -423,7 +410,7 @@ impl Graph {
     /// [`rgae_linalg::gram_bce_fused`].
     ///
     /// Peak decoder memory is O(B·N) for tile width B
-    /// (`RGAE_DECODER_TILE` / [`rgae_linalg::set_decoder_tile`]); the
+    /// ([`rgae_linalg::set_decoder_tile`]); the
     /// legacy path stays available as the differential-test reference.
     pub fn gram_bce_logits_sparse(
         &mut self,

@@ -31,7 +31,7 @@
 mod graph;
 mod optim;
 
-pub use graph::{take_constant_reuse_count, Graph, Var};
+pub use graph::{Graph, Var};
 pub use optim::{arm_grad_poison, disarm_grad_poison, Adam, AdamState};
 
 /// Errors surfaced by tape construction or backward passes.

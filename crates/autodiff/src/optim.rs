@@ -39,7 +39,7 @@ pub struct AdamState {
     pub v: Vec<Mat>,
 }
 
-/// Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
+/// Adam (Kingma & Ba, 2015).
 ///
 /// State is indexed by parameter slot: callers register each parameter once
 /// (in a fixed order) and then pass `(slot, param, grad)` on every step. The
@@ -51,7 +51,6 @@ pub struct Adam {
     beta1: f64,
     beta2: f64,
     eps: f64,
-    weight_decay: f64,
     t: u64,
     m: Vec<Mat>,
     v: Vec<Mat>,
@@ -69,7 +68,6 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -82,12 +80,6 @@ impl Adam {
     /// optimiser's lifetime; not persisted in [`AdamState`].
     pub fn nonfinite_grad_steps(&self) -> u64 {
         self.nonfinite_skips
-    }
-
-    /// Builder: decoupled weight decay (AdamW style).
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Current learning rate.
@@ -176,7 +168,7 @@ impl Adam {
             *vi = b2 * *vi + (1.0 - b2) * gi * gi;
             let mhat = *mi / bc1;
             let vhat = *vi / bc2;
-            *pi -= self.lr * (mhat / (vhat.sqrt() + self.eps) + self.weight_decay * *pi);
+            *pi -= self.lr * (mhat / (vhat.sqrt() + self.eps));
         }
     }
 }
@@ -212,25 +204,6 @@ mod tests {
         adam.begin_step();
         adam.update(slot, &mut p, &grad);
         assert!((p[(0, 0)].abs() - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut adam = Adam::new(0.0).with_weight_decay(0.1);
-        let slot = adam.register((1, 1));
-        let mut p = Mat::full(1, 1, 1.0);
-        let grad = Mat::full(1, 1, 0.0);
-        adam.begin_step();
-        adam.update(slot, &mut p, &grad);
-        // lr = 0 → decay also scaled by lr → no change.
-        assert_eq!(p[(0, 0)], 1.0);
-
-        let mut adam = Adam::new(0.1).with_weight_decay(0.5);
-        let slot = adam.register((1, 1));
-        let mut p = Mat::full(1, 1, 1.0);
-        adam.begin_step();
-        adam.update(slot, &mut p, &grad);
-        assert!(p[(0, 0)] < 1.0);
     }
 
     #[test]

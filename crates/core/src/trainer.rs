@@ -61,9 +61,11 @@ pub enum FdMode {
 /// Full configuration of an R-𝒟 run.
 #[derive(Clone, Debug)]
 pub struct RConfig {
-    /// Ξ configuration (α₁, α₂ and their ablation switches).
+    /// Ξ configuration (α₁, α₂ and their ablation switches). With both
+    /// switches off Ξ does not run and Ω = 𝒱 always (Table 8 "ablate both").
     pub xi: XiConfig,
-    /// Υ configuration (add/drop ablation switches).
+    /// Υ configuration (add/drop ablation switches). With both switches off
+    /// Υ does not run and A^self = A always (Table 9 "ablate both").
     pub upsilon: UpsilonConfig,
     /// Ω refresh period M₁ (epochs).
     pub m1: usize,
@@ -82,10 +84,6 @@ pub struct RConfig {
     /// Delay (epochs) before Ξ activates; 0 is the paper's protection
     /// strategy, larger values reproduce Table 6's correction variants.
     pub delay_xi: usize,
-    /// Disable Ξ entirely (Table 8 "ablation of both": Ω = 𝒱 always).
-    pub use_xi: bool,
-    /// Disable Υ entirely (Table 9 "ablation of both": A^self = A always).
-    pub use_upsilon: bool,
     /// FD strategy (Table 7).
     pub fd_mode: FdMode,
     /// Record the Λ_FR / Λ_FD diagnostics each epoch (extra backward
@@ -104,10 +102,9 @@ pub struct RConfig {
     /// bit-identical at any setting — this knob trades wall time only.
     pub threads: Option<usize>,
     /// Row-tile height for the fused gram+BCE decoder kernel. `None` keeps
-    /// the process setting (by default the `RGAE_DECODER_TILE` env var, else
-    /// [`rgae_linalg::DEFAULT_DECODER_TILE`]). A `Some` value is
-    /// applied process-wide when a run starts and stays in effect for later
-    /// runs whose config says `None`. Results are bit-identical at any
+    /// the process setting (by default [`rgae_linalg::DEFAULT_DECODER_TILE`]).
+    /// A `Some` value is applied process-wide when a run starts and stays in
+    /// effect for later runs whose config says `None`. Results are bit-identical at any
     /// setting — the tile bounds peak decoder memory (O(B·N)) only.
     pub decoder_tile: Option<usize>,
     /// Numerical-health monitoring + checkpoint-rollback recovery. `None`
@@ -130,8 +127,6 @@ impl Default for RConfig {
             min_epochs: 30,
             convergence: 0.9,
             delay_xi: 0,
-            use_xi: true,
-            use_upsilon: true,
             fd_mode: FdMode::GradualCorrection,
             track_diagnostics: false,
             eval_every: 1,
@@ -184,6 +179,16 @@ impl RConfig {
         cfg
     }
 
+    /// Whether Ξ runs: at least one of its guideline switches is on.
+    fn xi_on(&self) -> bool {
+        self.xi.use_alpha1 || self.xi.use_alpha2
+    }
+
+    /// Whether Υ runs: at least one of its edits is on.
+    fn upsilon_on(&self) -> bool {
+        self.upsilon.add_edges || self.upsilon.drop_edges
+    }
+
     /// The full configuration as JSON, for the run manifest. Every switch
     /// the trainer consults appears here so a run log alone is enough to
     /// reproduce the protocol variant.
@@ -217,8 +222,6 @@ impl RConfig {
             ("min_epochs", Json::Int(self.min_epochs as i64)),
             ("convergence", Json::Num(self.convergence)),
             ("delay_xi", Json::Int(self.delay_xi as i64)),
-            ("use_xi", Json::Bool(self.use_xi)),
-            ("use_upsilon", Json::Bool(self.use_upsilon)),
             (
                 "fd_mode",
                 Json::Str(
@@ -1013,7 +1016,7 @@ impl PhaseDriver<'_> {
         // Mid-clustering resumes restore the transformed graph instead.
         if self.arm == Arm::R
             && epoch == 0
-            && cfg.use_upsilon
+            && cfg.upsilon_on()
             && cfg.fd_mode == FdMode::SingleStepProtection
         {
             let _upsilon = span(rec, "upsilon");
@@ -1268,7 +1271,7 @@ impl PhaseDriver<'_> {
     ) -> Result<()> {
         let (cfg, rec) = (self.cfg, self.rec);
         if epoch.is_multiple_of(cfg.m1) {
-            if cfg.use_xi && epoch >= cfg.delay_xi {
+            if cfg.xi_on() && epoch >= cfg.delay_xi {
                 let _xi = span(rec, "xi");
                 let p = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
                 let candidate = xi(&p, &cfg.xi)?;
@@ -1286,7 +1289,7 @@ impl PhaseDriver<'_> {
                 ls.omega = full_omega(data.num_nodes);
             }
         }
-        if cfg.use_upsilon
+        if cfg.upsilon_on()
             && cfg.fd_mode == FdMode::GradualCorrection
             && epoch.is_multiple_of(cfg.m2)
         {
@@ -1538,13 +1541,12 @@ fn apply_thread_config(cfg: &RConfig) {
     }
 }
 
-/// Start the kernel timing table and the shared-constant reuse count afresh
-/// for the phase (or run) about to train, so [`flush_kernel_stats`] reports
-/// only its own work: nothing from an earlier pretrain or run.
+/// Start the kernel timing table afresh for the phase (or run) about to
+/// train, so [`flush_kernel_stats`] reports only its own work: nothing from
+/// an earlier pretrain or run.
 fn reset_kernel_stats(rec: &dyn Recorder) {
     if rec.enabled() {
         let _ = rgae_par::take_kernel_stats();
-        let _ = rgae_autodiff::take_constant_reuse_count();
     }
 }
 
@@ -1558,10 +1560,6 @@ fn flush_kernel_stats(rec: &dyn Recorder) {
         rec.gauge(&format!("par_{name}_seconds"), None, stat.seconds);
     }
     rec.gauge("par_threads", None, rgae_par::threads() as f64);
-    let reuses = rgae_autodiff::take_constant_reuse_count();
-    if reuses > 0 {
-        rec.count("constant_shared_reuses", reuses);
-    }
 }
 
 /// Train the un-modified model 𝒟: pretraining, head initialisation, then

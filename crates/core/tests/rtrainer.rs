@@ -8,6 +8,7 @@ use common::{assert_metrics_bits_eq, test_graph};
 use rgae_core::{train_plain, FdMode, RConfig, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::{ComposedModel, GaeModel, TrainData};
+use rgae_obs::{Event, MemorySink};
 
 fn quick_cfg() -> RConfig {
     let mut cfg = RConfig::for_dataset("cora-like").quick();
@@ -187,7 +188,8 @@ fn xi_ablation_keeps_omega_full() {
     let data = TrainData::from_graph(&g);
     let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
-    cfg.use_xi = false;
+    cfg.xi.use_alpha1 = false;
+    cfg.xi.use_alpha2 = false;
     cfg.max_epochs = 20;
     let report = RTrainer::new(cfg).train(&mut model, &g, &mut rng).unwrap();
     for e in &report.epochs {
@@ -202,7 +204,8 @@ fn upsilon_ablation_keeps_graph_static() {
     let data = TrainData::from_graph(&g);
     let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
     let mut cfg = quick_cfg();
-    cfg.use_upsilon = false;
+    cfg.upsilon.add_edges = false;
+    cfg.upsilon.drop_edges = false;
     cfg.max_epochs = 20;
     let report = RTrainer::new(cfg).train(&mut model, &g, &mut rng).unwrap();
     for e in &report.epochs {
@@ -210,6 +213,53 @@ fn upsilon_ablation_keeps_graph_static() {
         assert_eq!(e.dropped_links, Some((0, 0)));
         assert_eq!(e.graph_stats.as_ref().unwrap().num_edges, g.num_edges());
     }
+}
+
+/// An operator whose guideline switches are all off is not computed at
+/// all: its span never appears, while the other operator's still does.
+#[test]
+fn ablated_operators_are_not_computed() {
+    let g = test_graph(8);
+    let data = TrainData::from_graph(&g);
+    let spans = |cfg: RConfig| {
+        let sink = MemorySink::new();
+        let mut rng = Rng64::seed_from_u64(8);
+        let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
+        RTrainer::with_recorder(cfg, &sink)
+            .train(&mut model, &g, &mut rng)
+            .unwrap();
+        let paths: Vec<String> = sink
+            .of_kind("span")
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::SpanEnd { path, .. } => Some(path),
+                _ => None,
+            })
+            .collect();
+        let has = |op: &str| paths.iter().any(|p| p.rsplit('/').next() == Some(op));
+        (has("xi"), has("upsilon"))
+    };
+    let mut cfg = quick_cfg();
+    cfg.max_epochs = 20;
+    cfg.min_epochs = 20;
+
+    let mut no_xi = cfg.clone();
+    no_xi.xi.use_alpha1 = false;
+    no_xi.xi.use_alpha2 = false;
+    assert_eq!(
+        spans(no_xi),
+        (false, true),
+        "(xi, upsilon) spans, Xi ablated"
+    );
+
+    let mut no_upsilon = cfg;
+    no_upsilon.upsilon.add_edges = false;
+    no_upsilon.upsilon.drop_edges = false;
+    assert_eq!(
+        spans(no_upsilon),
+        (true, false),
+        "(xi, upsilon) spans, Upsilon ablated"
+    );
 }
 
 #[test]
@@ -330,8 +380,10 @@ fn plain_equals_r_with_operators_off() {
         cfg.max_epochs = 30;
         cfg.min_epochs = 30;
         cfg.eval_every = 5;
-        cfg.use_xi = false;
-        cfg.use_upsilon = false;
+        cfg.xi.use_alpha1 = false;
+        cfg.xi.use_alpha2 = false;
+        cfg.upsilon.add_edges = false;
+        cfg.upsilon.drop_edges = false;
         cfg.threads = Some(threads);
         for (name, build) in models {
             let what = format!("{name} @ {threads} threads");

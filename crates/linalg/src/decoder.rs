@@ -53,17 +53,15 @@ use crate::numerics::{
 };
 use crate::{sigmoid, softplus, Csr, Error, Mat, Result};
 
-/// Baseline tile rows when neither the programmatic override nor the
-/// `RGAE_DECODER_TILE` environment variable is set. The effective default
-/// grows with the worker count (see [`decoder_tile`]) so every pool worker
-/// owns at least one reduce chunk per tile.
+/// Baseline tile rows when no [`set_decoder_tile`] override is set. The
+/// effective default grows with the worker count (see [`decoder_tile`]) so
+/// every pool worker owns at least one reduce chunk per tile.
 pub const DEFAULT_DECODER_TILE: usize = 1024;
 
 /// Programmatic override for the tile rows; 0 means "unset".
 static TILE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Override the decoder tile rows (`None` restores the environment /
-/// default resolution). Values are rounded up to a multiple of
+/// Override the decoder tile rows (`None` restores the default). Values are rounded up to a multiple of
 /// [`rgae_par::REDUCE_CHUNK`]; the setting trades memory against
 /// parallelism only — results are bit-identical at any tile size.
 pub fn set_decoder_tile(rows: Option<usize>) {
@@ -71,16 +69,12 @@ pub fn set_decoder_tile(rows: Option<usize>) {
 }
 
 /// The configured decoder tile rows: the [`set_decoder_tile`] override if
-/// set, else `RGAE_DECODER_TILE`, else `max(DEFAULT_DECODER_TILE,
-/// REDUCE_CHUNK · threads)` — always rounded up to a `REDUCE_CHUNK`
-/// multiple so tile boundaries coincide with reduction-chunk boundaries.
+/// set, else `max(DEFAULT_DECODER_TILE, REDUCE_CHUNK · threads)` — always
+/// rounded up to a `REDUCE_CHUNK` multiple so tile boundaries coincide with
+/// reduction-chunk boundaries.
 pub fn decoder_tile() -> usize {
     let configured = match TILE_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::env::var("RGAE_DECODER_TILE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or_else(|| DEFAULT_DECODER_TILE.max(REDUCE_CHUNK * rgae_par::threads())),
+        0 => DEFAULT_DECODER_TILE.max(REDUCE_CHUNK * rgae_par::threads()),
         v => v,
     };
     configured.div_ceil(REDUCE_CHUNK) * REDUCE_CHUNK

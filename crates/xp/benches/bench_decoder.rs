@@ -6,9 +6,9 @@
 //! writes `BENCH_decoder.json` at the workspace root (kernel seconds plus
 //! estimated peak decoder bytes for each path).
 //!
-//! Run with `cargo bench -p rgae-xp --bench bench_decoder`. Knobs:
-//! `BENCH_DECODER_SCALE` (cora-like size multiplier, default 1.0) and
-//! `RGAE_DECODER_TILE` (fused row-tile height).
+//! Run with `cargo bench -p rgae-xp --bench bench_decoder`. Knob:
+//! `BENCH_DECODER_SCALE` (cora-like size multiplier, default 1.0). The
+//! fused kernel runs at the default tile height (`rgae_linalg::decoder_tile`).
 
 use std::rc::Rc;
 use std::time::Instant;

@@ -2,18 +2,10 @@
 //! confidence thresholds α₁ ∈ {0.1 … 0.4} and α₂ ∈ {0.05 … 0.25} on
 //! cora-like.
 
-use rgae_viz::CsvWriter;
-use rgae_xp::{
-    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
-    SweepVariant,
-};
+use rgae_xp::{cora_r_sweep, pct, print_table, HarnessOpts};
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let trace = opts.recorder();
-    let rec = trace.as_ref();
-    let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
     let alpha1s: Vec<f64> = if opts.quick {
         vec![0.1, 0.3]
     } else {
@@ -28,39 +20,21 @@ fn main() {
         .iter()
         .flat_map(|&a1| alpha2s.iter().map(move |&a2| (a1, a2)))
         .collect();
-
-    let mut rows = Vec::new();
-    let mut csv = CsvWriter::create(
-        opts.out_dir.join("fig11_12.csv"),
-        &["model", "alpha1", "alpha2", "acc", "nmi", "ari"],
-    )
-    .expect("csv");
-
-    for model in [ModelKind::GmmVgae, ModelKind::Dgae] {
-        let base_cfg = rconfig_for_opts(model, dataset, &opts);
-        let variants = grid
-            .iter()
+    let results = cora_r_sweep(&opts, "fig11_12.csv", &["alpha1", "alpha2"], |base| {
+        grid.iter()
             .map(|&(a1, a2)| {
-                let mut cfg = base_cfg.clone();
+                let mut cfg = base.clone();
                 cfg.xi.alpha1 = a1;
                 cfg.xi.alpha2 = a2;
-                SweepVariant::r(format!("a1={a1}-a2={a2}"), cfg)
+                let keys = vec![a1.to_string(), a2.to_string()];
+                (keys, format!("a1={a1}-a2={a2}"), cfg)
             })
-            .collect();
-        let results = sweep_variants(
-            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
-        );
+            .collect()
+    });
 
-        for (&(a1, a2), m) in grid.iter().zip(results.iter().map(|r| &r.final_metrics)) {
-            csv.row_strs(&[
-                model.name().into(),
-                a1.to_string(),
-                a2.to_string(),
-                format!("{:.4}", m.acc),
-                format!("{:.4}", m.nmi),
-                format!("{:.4}", m.ari),
-            ])
-            .expect("csv row");
+    let mut rows = Vec::new();
+    for (model, ms) in &results {
+        for (&(a1, a2), m) in grid.iter().zip(ms) {
             rows.push(vec![
                 format!("R-{}", model.name()),
                 a1.to_string(),
@@ -71,7 +45,6 @@ fn main() {
             ]);
         }
     }
-    csv.finish().expect("csv flush");
     print_table(
         "Figures 11-12: sensitivity to alpha1/alpha2 (cora-like)",
         &["method", "alpha1", "alpha2", "ACC", "NMI", "ARI"],

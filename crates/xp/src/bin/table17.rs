@@ -3,7 +3,7 @@
 //! simplifications are documented in DESIGN.md); rows the paper cites from
 //! other papers without public code are out of scope here.
 
-use rgae_core::{Metrics, RConfig, RTrainer};
+use rgae_core::{Arm, Metrics, RConfig, RTrainer};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{agc_lite, daegc_lite_data, mgae_lite, spectral_lite};
@@ -15,7 +15,7 @@ use rgae_xp::{
 };
 
 /// DAEGC-lite: DGAE trained over the 2-hop proximity filter, its joint
-/// phase being the R loop with Ξ and Υ switched off for all `epochs`.
+/// phase being the plain arm for all `epochs`.
 fn run_daegc_lite(graph: &AttributedGraph, epochs: usize, seed: u64) -> Metrics {
     let data = daegc_lite_data(graph);
     let mut rng = Rng64::seed_from_u64(seed);
@@ -23,11 +23,9 @@ fn run_daegc_lite(graph: &AttributedGraph, epochs: usize, seed: u64) -> Metrics 
     let trainer = RTrainer::new(RConfig {
         pretrain_epochs: epochs,
         max_epochs: epochs,
-        min_epochs: epochs,
-        use_xi: false,
-        use_upsilon: false,
         ..RConfig::default()
-    });
+    })
+    .with_arm(Arm::Plain);
     trainer.pretrain(&mut model, &data, &mut rng).unwrap();
     trainer
         .train_clustering_phase(&mut model, graph, &data, &mut rng)

@@ -2,66 +2,28 @@
 //! Four variants: drop the margin criterion (α₂), drop the confidence
 //! criterion (α₁), drop both (no Ξ at all), and the full operator.
 
-use rgae_viz::CsvWriter;
-use rgae_xp::{
-    pct, print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
-    SweepVariant,
-};
+use rgae_xp::{cora_r_sweep, print_table, triple_rows, HarnessOpts};
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let trace = opts.recorder();
-    let rec = trace.as_ref();
-    let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
+    // (label, use α₁, use α₂); with both off Ξ does not run and Ω = 𝒱.
     let ablations = [
-        ("ablate alpha2", false, true, false),
-        ("ablate alpha1", true, false, false),
-        ("ablate both", false, false, true),
-        ("no ablation", false, false, false),
+        ("ablate alpha2", true, false),
+        ("ablate alpha1", false, true),
+        ("ablate both", false, false),
+        ("no ablation", true, true),
     ];
-
-    let mut rows = Vec::new();
-    let mut csv = CsvWriter::create(
-        opts.out_dir.join("table8.csv"),
-        &["model", "ablation", "acc", "nmi", "ari"],
-    )
-    .expect("csv");
-
-    for model in ModelKind::second_group() {
-        let base_cfg = rconfig_for_opts(model, dataset, &opts);
-        let variants = ablations
+    let results = cora_r_sweep(&opts, "table8.csv", &["ablation"], |base| {
+        ablations
             .iter()
-            .map(|&(label, no_a1, no_a2, no_xi)| {
-                let mut cfg = base_cfg.clone();
-                cfg.xi.use_alpha1 = !no_a1;
-                cfg.xi.use_alpha2 = !no_a2;
-                cfg.use_xi = !no_xi;
-                SweepVariant::r(label.replace(' ', "_"), cfg)
+            .map(|&(label, a1, a2)| {
+                let mut cfg = base.clone();
+                cfg.xi.use_alpha1 = a1;
+                cfg.xi.use_alpha2 = a2;
+                (vec![label.into()], label.replace(' ', "_"), cfg)
             })
-            .collect();
-        let results = sweep_variants(
-            &opts, rec, model, dataset, &graph, &base_cfg, opts.seed, variants,
-        );
-
-        let mut row = vec![format!("R-{}", model.name())];
-        for ((label, ..), m) in ablations
-            .iter()
-            .zip(results.iter().map(|r| &r.final_metrics))
-        {
-            csv.row_strs(&[
-                model.name().into(),
-                (*label).into(),
-                format!("{:.4}", m.acc),
-                format!("{:.4}", m.nmi),
-                format!("{:.4}", m.ari),
-            ])
-            .expect("csv row");
-            row.push(format!("{}/{}/{}", pct(m.acc), pct(m.nmi), pct(m.ari)));
-        }
-        rows.push(row);
-    }
-    csv.finish().expect("csv flush");
+            .collect()
+    });
     print_table(
         "Table 8: Xi threshold ablations (cora-like), ACC/NMI/ARI",
         &[
@@ -71,6 +33,6 @@ fn main() {
             "ablate both",
             "no ablation",
         ],
-        &rows,
+        &triple_rows(&results),
     );
 }

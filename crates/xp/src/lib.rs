@@ -9,6 +9,7 @@ use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
 use rgae_models::{ComposedModel, GaeModel, TrainData};
 use rgae_obs::{timestamp_ms, Event, JsonlSink, NoopRecorder, Recorder, RunManifest};
+use rgae_viz::CsvWriter;
 
 /// Options shared by every experiment binary.
 #[derive(Clone, Debug)]
@@ -605,6 +606,164 @@ pub fn sweep_variants(
             report
         })
         .collect()
+}
+
+/// The cora-like R sweeps (Tables 6–9, Figs. 11–12): for each second-group
+/// model, run the R arms `variants(base_cfg)` through [`sweep_variants`] at
+/// `--seed`, where `base_cfg` is the model's [`rconfig_for_opts`] and each
+/// arm is `(CSV key cells, run label, config)`. Writes `<out>/<csv_name>`
+/// with one row `model, <key cells…>, acc, nmi, ari` per arm, `key_headers`
+/// naming the key columns. Returns each model's final metrics in arm order.
+pub fn cora_r_sweep(
+    opts: &HarnessOpts,
+    csv_name: &str,
+    key_headers: &[&str],
+    variants: impl Fn(&RConfig) -> Vec<(Vec<String>, String, RConfig)>,
+) -> Vec<(ModelKind, Vec<Metrics>)> {
+    let trace = opts.recorder();
+    let dataset = DatasetKind::CoraLike;
+    let graph = dataset.build(opts.dataset_scale(), opts.seed);
+    let header: Vec<&str> = ["model"]
+        .into_iter()
+        .chain(key_headers.iter().copied())
+        .chain(["acc", "nmi", "ari"])
+        .collect();
+    let mut csv = CsvWriter::create(opts.out_dir.join(csv_name), &header).expect("csv");
+    let mut out = Vec::new();
+    for model in ModelKind::second_group() {
+        let base_cfg = rconfig_for_opts(model, dataset, opts);
+        let (keys, arms): (Vec<_>, Vec<_>) = variants(&base_cfg)
+            .into_iter()
+            .map(|(keys, label, cfg)| (keys, SweepVariant::r(label, cfg)))
+            .unzip();
+        let reports = sweep_variants(
+            opts,
+            trace.as_ref(),
+            model,
+            dataset,
+            &graph,
+            &base_cfg,
+            opts.seed,
+            arms,
+        );
+        let ms: Vec<Metrics> = reports.iter().map(|r| r.final_metrics).collect();
+        for (mut row, m) in keys.into_iter().zip(&ms) {
+            row.insert(0, model.name().into());
+            row.extend([m.acc, m.nmi, m.ari].map(|x| format!("{x:.4}")));
+            csv.row_strs(&row).expect("csv row");
+        }
+        out.push((model, ms));
+    }
+    csv.finish().expect("csv flush");
+    out
+}
+
+/// One table row per model of a [`cora_r_sweep`]: `R-<model>`, then
+/// `ACC/NMI/ARI` in percent for each arm.
+pub fn triple_rows(results: &[(ModelKind, Vec<Metrics>)]) -> Vec<Vec<String>> {
+    results
+        .iter()
+        .map(|(model, ms)| {
+            let cells = ms
+                .iter()
+                .map(|m| format!("{}/{}/{}", pct(m.acc), pct(m.nmi), pct(m.ari)));
+            [format!("R-{}", model.name())]
+                .into_iter()
+                .chain(cells)
+                .collect()
+        })
+        .collect()
+}
+
+/// Tables 1–4: every model of `models`, plain and R, over `--trials` seeds
+/// on each wanted dataset of `datasets` built at `scale`. Writes one CSV row
+/// per (dataset, model, arm, trial) to `<out>/<name>.csv` and prints the
+/// best-of-trials table (`titles[0]`) and the mean ± std table
+/// (`titles[1]`).
+pub fn plain_vs_r_tables(
+    opts: &HarnessOpts,
+    name: &str,
+    datasets: [DatasetKind; 3],
+    models: &[ModelKind],
+    scale: f64,
+    titles: [&str; 2],
+) {
+    let trace = opts.recorder();
+    let rec = trace.as_ref();
+    let csv_path = opts.out_dir.join(format!("{name}.csv"));
+    let mut best_rows: Vec<Vec<String>> = Vec::new();
+    let mut mean_rows: Vec<Vec<String>> = Vec::new();
+    let mut csv = CsvWriter::create(
+        &csv_path,
+        &["dataset", "model", "variant", "trial", "acc", "nmi", "ari"],
+    )
+    .expect("csv");
+
+    for dataset in datasets {
+        if !opts.wants(dataset) {
+            continue;
+        }
+        let graph = dataset.build(scale, opts.seed);
+        eprintln!(
+            "[{name}] {} : N={} E={} J={} K={}",
+            dataset.name(),
+            graph.num_nodes(),
+            graph.num_edges(),
+            graph.num_features(),
+            graph.num_classes()
+        );
+        for &model in models {
+            let cfg = rconfig_for_opts(model, dataset, opts);
+            let mut plain_ms: Vec<Metrics> = Vec::new();
+            let mut r_ms: Vec<Metrics> = Vec::new();
+            for trial in 0..opts.trials {
+                let seed = opts.seed + trial as u64;
+                let arms = SweepVariant::plain_and_r("", &cfg);
+                let reports = sweep_variants(opts, rec, model, dataset, &graph, &cfg, seed, arms);
+                let [plain, r]: [RReport; 2] = reports.try_into().expect("two arms");
+                for (variant, m) in [("plain", plain.final_metrics), ("r", r.final_metrics)] {
+                    csv.row_strs(&[
+                        dataset.name().into(),
+                        model.name().into(),
+                        variant.into(),
+                        trial.to_string(),
+                        format!("{:.4}", m.acc),
+                        format!("{:.4}", m.nmi),
+                        format!("{:.4}", m.ari),
+                    ])
+                    .expect("csv row");
+                }
+                plain_ms.push(plain.final_metrics);
+                r_ms.push(r.final_metrics);
+            }
+            for (label, ms) in [
+                (model.name().to_string(), &plain_ms),
+                (format!("R-{}", model.name()), &r_ms),
+            ] {
+                let b = best_metrics(ms);
+                best_rows.push(vec![
+                    dataset.name().into(),
+                    label.clone(),
+                    pct(b.acc),
+                    pct(b.nmi),
+                    pct(b.ari),
+                ]);
+                let (a, n, r) = metric_stats(ms);
+                mean_rows.push(vec![
+                    dataset.name().into(),
+                    label,
+                    pct_pm(a),
+                    pct_pm(n),
+                    pct_pm(r),
+                ]);
+            }
+        }
+    }
+    csv.finish().expect("csv flush");
+    let headers = ["dataset", "method", "ACC", "NMI", "ARI"];
+    print_table(titles[0], &headers, &best_rows);
+    print_table(titles[1], &headers, &mean_rows);
+    println!("\nCSV written to {}", csv_path.display());
 }
 
 /// Mean and (population) standard deviation.

@@ -12,7 +12,7 @@
 //!      as rewriting every layer and taking the union of the results.
 //!
 //! Both arms start from the same pretrained weights and train through
-//! `RTrainer`; the plain arm is the R loop with Ξ and Υ switched off.
+//! `RTrainer`, the plain one with `Arm::Plain`.
 //!
 //! ```text
 //! cargo run --release -p rgae-xp --example multiplex_extension
@@ -20,7 +20,7 @@
 
 use std::rc::Rc;
 
-use rgae_core::{RConfig, RTrainer};
+use rgae_core::{Arm, RConfig, RTrainer};
 use rgae_datasets::{multiplex_like, LayerSpec, MultiplexSpec};
 use rgae_graph::edge_homophily;
 use rgae_linalg::Rng64;
@@ -64,30 +64,23 @@ fn main() {
     data.filter = Rc::new(mx.mean_filter());
 
     let epochs = 80;
-    let r_cfg = RConfig {
+    let cfg = RConfig {
         pretrain_epochs: epochs,
         max_epochs: epochs,
         m1: 10,
         m2: 10,
         ..RConfig::default()
     };
-    // With Ξ off, Ω = 𝒱 passes the convergence test once `min_epochs` is
-    // reached; holding it at the budget makes the plain arm run every epoch.
-    let plain_cfg = RConfig {
-        use_xi: false,
-        use_upsilon: false,
-        min_epochs: epochs,
-        ..r_cfg.clone()
-    };
 
     // Pretrain once on the raw union graph; both arms start from here.
     let mut rng = Rng64::seed_from_u64(1);
     let mut r_model = ComposedModel::dgae(data.num_features(), mx.num_classes(), &mut rng);
-    let r_trainer = RTrainer::new(r_cfg);
+    let r_trainer = RTrainer::new(cfg.clone());
     r_trainer.pretrain(&mut r_model, &data, &mut rng).unwrap();
     let mut plain = r_model.clone();
 
-    let plain_report = RTrainer::new(plain_cfg)
+    let plain_report = RTrainer::new(cfg)
+        .with_arm(Arm::Plain)
         .train_clustering_phase(&mut plain, &flat, &data, &mut rng)
         .unwrap();
     let r_report = r_trainer

@@ -134,10 +134,13 @@ fn claim_gradual_fd_not_worse_than_single_step() {
 #[test]
 fn claim_full_operators_not_worse_than_double_ablation() {
     let (graph, data, base, cfg) = setup(ModelKind::Dgae, 51);
-    let run = |use_xi: bool, use_upsilon: bool, base: &dyn rgae_models::GaeModel| {
+    // Ablating both of an operator's guideline switches switches it off.
+    let run = |xi: bool, upsilon: bool, base: &dyn rgae_models::GaeModel| {
         let mut cfg = cfg.clone();
-        cfg.use_xi = use_xi;
-        cfg.use_upsilon = use_upsilon;
+        cfg.xi.use_alpha1 = xi;
+        cfg.xi.use_alpha2 = xi;
+        cfg.upsilon.add_edges = upsilon;
+        cfg.upsilon.drop_edges = upsilon;
         let mut m = base.clone_box();
         let mut rng = Rng64::seed_from_u64(4);
         RTrainer::new(cfg)
