@@ -25,8 +25,6 @@ enum Op {
     Spmm(Rc<Csr>, Var),
     /// `Y = A + B`.
     Add(Var, Var),
-    /// `Y = A - B`.
-    Sub(Var, Var),
     /// `Y = A ∘ B`.
     Hadamard(Var, Var),
     /// `Y = c · A`.
@@ -35,10 +33,6 @@ enum Op {
     AddBias(Var, Var),
     /// `Y = relu(A)`.
     Relu(Var),
-    /// `Y = σ(A)`.
-    Sigmoid(Var),
-    /// `Y = tanh(A)`.
-    Tanh(Var),
     /// `Y = exp(A)`.
     Exp(Var),
     /// `Y = 1 / (1 + A)` — the Student-t kernel numerator.
@@ -53,8 +47,6 @@ enum Op {
     GaussLogPdf(Var, Var, Var),
     /// Scalar `Σ A`.
     Sum(Var),
-    /// Scalar `mean(A)`.
-    Mean(Var),
     /// Weighted binary cross-entropy with logits against a constant sparse
     /// binary target; scalar `norm · mean(...)`.
     BceLogitsSparse {
@@ -78,8 +70,6 @@ enum Op {
     KlDivConstQ(Var, Rc<Mat>),
     /// Scalar `-½ Σ (1 + lv − μ² − e^{lv})` (KL to a standard normal).
     GaussianKl(Var, Var),
-    /// Scalar `mean((X − T)²)` with constant target.
-    MseConst(Var, Rc<Mat>),
 }
 
 struct Node {
@@ -190,13 +180,6 @@ impl Graph {
         Ok(self.push(v, Op::Add(a, b), ng))
     }
 
-    /// `A − B`.
-    pub fn sub(&mut self, a: Var, b: Var) -> Result<Var> {
-        let v = self.nodes[a.0].value.sub(&self.nodes[b.0].value)?;
-        let ng = self.needs(a) || self.needs(b);
-        Ok(self.push(v, Op::Sub(a, b), ng))
-    }
-
     /// `A ∘ B` (elementwise).
     pub fn hadamard(&mut self, a: Var, b: Var) -> Result<Var> {
         let v = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value)?;
@@ -227,20 +210,6 @@ impl Graph {
         let v = self.nodes[a.0].value.map(|x| x.max(0.0));
         let ng = self.needs(a);
         self.push(v, Op::Relu(a), ng)
-    }
-
-    /// `σ(A)` elementwise.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(sigmoid);
-        let ng = self.needs(a);
-        self.push(v, Op::Sigmoid(a), ng)
-    }
-
-    /// `tanh(A)` elementwise.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(f64::tanh);
-        let ng = self.needs(a);
-        self.push(v, Op::Tanh(a), ng)
     }
 
     /// `exp(A)` elementwise.
@@ -328,15 +297,6 @@ impl Graph {
         let v = Mat::full(1, 1, self.nodes[a.0].value.sum());
         let ng = self.needs(a);
         self.push(v, Op::Sum(a), ng)
-    }
-
-    /// Scalar mean of all entries.
-    pub fn mean(&mut self, a: Var) -> Var {
-        let x = &self.nodes[a.0].value;
-        let denom = (x.rows() * x.cols()).max(1) as f64;
-        let v = Mat::full(1, 1, x.sum() / denom);
-        let ng = self.needs(a);
-        self.push(v, Op::Mean(a), ng)
     }
 
     /// The GAE reconstruction loss: weighted binary cross-entropy with
@@ -517,29 +477,6 @@ impl Graph {
         Ok(self.push(v, Op::GaussianKl(mu, log_var), ng))
     }
 
-    /// `mean((X − T)²)` with a constant target (denoising reconstruction).
-    pub fn mse_const(&mut self, x: Var, target: &Rc<Mat>) -> Result<Var> {
-        let xv = &self.nodes[x.0].value;
-        if xv.shape() != target.shape() {
-            return Err(Error::Invalid("mse_const: shape mismatch"));
-        }
-        let denom = (xv.rows() * xv.cols()) as f64;
-        let (xs, ts) = (xv.as_slice(), target.as_slice());
-        let total = rgae_par::timed("mse_fwd", || {
-            rgae_par::par_sum_by(xs.len(), |range| {
-                let mut acc = 0.0;
-                for idx in range {
-                    let (a, b) = (xs[idx], ts[idx]);
-                    acc += (a - b) * (a - b);
-                }
-                acc
-            })
-        });
-        let v = Mat::full(1, 1, total / denom);
-        let ng = self.needs(x);
-        Ok(self.push(v, Op::MseConst(x, Rc::clone(target)), ng))
-    }
-
     /// Run reverse-mode accumulation from a scalar root.
     pub fn backward(&mut self, root: Var) -> Result<()> {
         let shape = self.shape(root);
@@ -618,11 +555,6 @@ impl Graph {
                 self.accum(a, g.clone());
                 self.accum(b, g.clone());
             }
-            Op::Sub(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accum(a, g.clone());
-                self.accum(b, g.scale(-1.0));
-            }
             Op::Hadamard(a, b) => {
                 let (a, b) = (*a, *b);
                 if self.needs(a) {
@@ -653,18 +585,6 @@ impl Graph {
                     .value
                     .map(|x| if x > 0.0 { 1.0 } else { 0.0 });
                 self.accum(a, g.hadamard(&mask)?);
-            }
-            Op::Sigmoid(a) => {
-                let a = *a;
-                let y = &self.nodes[id].value;
-                let dy = y.map(|s| s * (1.0 - s));
-                self.accum(a, g.hadamard(&dy)?);
-            }
-            Op::Tanh(a) => {
-                let a = *a;
-                let y = &self.nodes[id].value;
-                let dy = y.map(|t| 1.0 - t * t);
-                self.accum(a, g.hadamard(&dy)?);
             }
             Op::Exp(a) => {
                 let a = *a;
@@ -783,12 +703,6 @@ impl Graph {
                 let gs = g.as_slice()[0];
                 self.accum(a, Mat::full(r, c, gs));
             }
-            Op::Mean(a) => {
-                let a = *a;
-                let (r, c) = self.shape(a);
-                let gs = g.as_slice()[0] / ((r * c).max(1) as f64);
-                self.accum(a, Mat::full(r, c, gs));
-            }
             Op::BceLogitsSparse {
                 logits,
                 target,
@@ -876,17 +790,6 @@ impl Graph {
                     self.accum(lv, dl);
                 }
             }
-            Op::MseConst(x, target) => {
-                let x = *x;
-                let target = Rc::clone(target);
-                if self.needs(x) {
-                    let xv = &self.nodes[x.0].value;
-                    let denom = (xv.rows() * xv.cols()) as f64;
-                    let gs = g.as_slice()[0];
-                    let dx = xv.zip_map(&target, |a, b| gs * 2.0 * (a - b) / denom)?;
-                    self.accum(x, dx);
-                }
-            }
         }
         Ok(())
     }
@@ -930,9 +833,11 @@ mod tests {
 
     #[test]
     fn grad_of_mean_is_inverse_count() {
+        // The tape has no mean op: a mean is `scale(sum, 1/n)`.
         let mut g = Graph::new();
         let a = g.leaf(m(2, 2, &[1.0, 2.0, 3.0, 4.0]));
-        let s = g.mean(a);
+        let total = g.sum(a);
+        let s = g.scale(total, 0.25);
         g.backward(s).unwrap();
         assert_eq!(g.grad(a).unwrap().as_slice(), &[0.25; 4]);
     }

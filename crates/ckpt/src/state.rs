@@ -2,7 +2,7 @@
 //! bag that model `export_params`/`import_params` implementations use.
 
 use rgae_autodiff::AdamState;
-use rgae_linalg::{Csr, Mat, Rng64};
+use rgae_linalg::{Csr, Mat};
 
 use crate::codec::{ByteReader, ByteWriter, Error, Result};
 
@@ -50,22 +50,6 @@ pub fn get_csr(r: &mut ByteReader) -> Result<Csr> {
     let data = r.get_f64s()?;
     Csr::from_raw(rows, cols, indptr, indices, data)
         .map_err(|_| Error::Corrupt("invalid CSR payload"))
-}
-
-/// Encode the full RNG state (xoshiro words + Box–Muller spare).
-pub fn put_rng(w: &mut ByteWriter, rng: &Rng64) {
-    let (words, spare) = rng.state();
-    for word in words {
-        w.put_u64(word);
-    }
-    w.put_opt_f64(spare);
-}
-
-/// Decode an RNG restored to the exact stream position it was saved at.
-pub fn get_rng(r: &mut ByteReader) -> Result<Rng64> {
-    let words = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
-    let spare = r.get_opt_f64()?;
-    Ok(Rng64::from_state(words, spare))
 }
 
 /// Encode Adam optimiser state (timestep + moment buffers).
@@ -344,22 +328,6 @@ mod tests {
             get_csr(&mut ByteReader::new(&bytes)),
             Err(Error::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn rng_round_trip_resumes_stream() {
-        let mut rng = Rng64::seed_from_u64(99);
-        for _ in 0..13 {
-            rng.normal(); // odd count leaves a Box–Muller spare cached
-        }
-        let mut w = ByteWriter::new();
-        put_rng(&mut w, &rng);
-        let bytes = w.into_bytes();
-        let mut back = get_rng(&mut ByteReader::new(&bytes)).unwrap();
-        for _ in 0..64 {
-            assert_eq!(rng.normal().to_bits(), back.normal().to_bits());
-            assert_eq!(rng.uniform().to_bits(), back.uniform().to_bits());
-        }
     }
 
     #[test]

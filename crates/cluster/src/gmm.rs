@@ -1,9 +1,9 @@
 //! Diagonal-covariance Gaussian mixture fitted with EM.
 
 use rgae_linalg::{Mat, Rng64};
-use rgae_obs::{span, Recorder, NOOP};
+use rgae_obs::{span, Recorder};
 
-use crate::{kmeans_traced, par_point_chunk, Error, Result};
+use crate::{kmeans, par_point_chunk, Error, Result};
 
 /// A fitted diagonal-covariance Gaussian mixture model.
 ///
@@ -24,15 +24,11 @@ pub struct GaussianMixture {
 const VAR_FLOOR: f64 = 1e-6;
 
 impl GaussianMixture {
-    /// Fit by EM, initialised from k-means.
-    pub fn fit(points: &Mat, k: usize, max_iter: usize, rng: &mut Rng64) -> Result<Self> {
-        Self::fit_traced(points, k, max_iter, rng, &NOOP)
-    }
-
-    /// [`GaussianMixture::fit`] reporting into a run-log recorder: a
-    /// `gmm_fit` span (with the seeding k-means nested inside), the
-    /// `gmm_em_iterations` counter, and the `gmm_avg_log_likelihood` gauge.
-    pub fn fit_traced(
+    /// Fit by EM, initialised from k-means, reporting into `rec` (pass
+    /// [`rgae_obs::NOOP`] when there is no run log): a `gmm_fit` span (with
+    /// the seeding k-means nested inside), the `gmm_em_iterations` counter,
+    /// and the `gmm_avg_log_likelihood` gauge.
+    pub fn fit(
         points: &Mat,
         k: usize,
         max_iter: usize,
@@ -48,7 +44,7 @@ impl GaussianMixture {
             });
         }
         let d = points.cols();
-        let km = kmeans_traced(points, k, 50, rng, rec)?;
+        let km = kmeans(points, k, 50, rng, rec)?;
         let mut means = km.centroids;
         let mut variances = Mat::full(k, d, 1.0);
         // Initial variances from the k-means partition.
@@ -213,11 +209,6 @@ impl GaussianMixture {
         });
         out
     }
-
-    /// Hard assignments (argmax responsibility).
-    pub fn predict(&self, points: &Mat) -> Vec<usize> {
-        self.responsibilities(points).row_argmax()
-    }
 }
 
 /// Log-density of a diagonal Gaussian.
@@ -234,6 +225,7 @@ fn log_gauss_diag(x: &[f64], mean: &[f64], var: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgae_obs::NOOP;
 
     fn blobs(rng: &mut Rng64, sep: f64) -> (Mat, Vec<usize>) {
         let mut rows = Vec::new();
@@ -254,8 +246,8 @@ mod tests {
     fn fits_two_separated_blobs() {
         let mut rng = Rng64::seed_from_u64(1);
         let (x, labels) = blobs(&mut rng, 8.0);
-        let gmm = GaussianMixture::fit(&x, 2, 100, &mut rng).unwrap();
-        let pred = gmm.predict(&x);
+        let gmm = GaussianMixture::fit(&x, 2, 100, &mut rng, &NOOP).unwrap();
+        let pred = gmm.responsibilities(&x).row_argmax();
         // Up to label permutation the prediction is perfect.
         let agree = pred.iter().zip(&labels).filter(|(&p, &l)| p == l).count();
         let acc = agree.max(pred.len() - agree) as f64 / pred.len() as f64;
@@ -266,7 +258,7 @@ mod tests {
     fn responsibilities_are_distributions() {
         let mut rng = Rng64::seed_from_u64(2);
         let (x, _) = blobs(&mut rng, 5.0);
-        let gmm = GaussianMixture::fit(&x, 3, 50, &mut rng).unwrap();
+        let gmm = GaussianMixture::fit(&x, 3, 50, &mut rng, &NOOP).unwrap();
         let r = gmm.responsibilities(&x);
         for i in 0..x.rows() {
             let s: f64 = r.row(i).iter().sum();
@@ -279,7 +271,7 @@ mod tests {
     fn weights_sum_to_one() {
         let mut rng = Rng64::seed_from_u64(3);
         let (x, _) = blobs(&mut rng, 6.0);
-        let gmm = GaussianMixture::fit(&x, 2, 50, &mut rng).unwrap();
+        let gmm = GaussianMixture::fit(&x, 2, 50, &mut rng, &NOOP).unwrap();
         assert!((gmm.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
@@ -288,7 +280,7 @@ mod tests {
         // Duplicate points would produce zero variance without the floor.
         let x = Mat::from_rows(&vec![vec![1.0, 1.0]; 10]).unwrap();
         let mut rng = Rng64::seed_from_u64(4);
-        let gmm = GaussianMixture::fit(&x, 1, 20, &mut rng).unwrap();
+        let gmm = GaussianMixture::fit(&x, 1, 20, &mut rng, &NOOP).unwrap();
         assert!(gmm.variances.as_slice().iter().all(|&v| v >= VAR_FLOOR));
     }
 
@@ -296,8 +288,8 @@ mod tests {
     fn likelihood_improves_with_right_k() {
         let mut rng = Rng64::seed_from_u64(5);
         let (x, _) = blobs(&mut rng, 10.0);
-        let g1 = GaussianMixture::fit(&x, 1, 100, &mut rng).unwrap();
-        let g2 = GaussianMixture::fit(&x, 2, 100, &mut rng).unwrap();
+        let g1 = GaussianMixture::fit(&x, 1, 100, &mut rng, &NOOP).unwrap();
+        let g2 = GaussianMixture::fit(&x, 2, 100, &mut rng, &NOOP).unwrap();
         assert!(g2.avg_log_likelihood > g1.avg_log_likelihood);
     }
 
@@ -305,7 +297,7 @@ mod tests {
     fn rejects_bad_k() {
         let x = Mat::zeros(2, 2);
         let mut rng = Rng64::seed_from_u64(6);
-        assert!(GaussianMixture::fit(&x, 0, 10, &mut rng).is_err());
-        assert!(GaussianMixture::fit(&x, 5, 10, &mut rng).is_err());
+        assert!(GaussianMixture::fit(&x, 0, 10, &mut rng, &NOOP).is_err());
+        assert!(GaussianMixture::fit(&x, 5, 10, &mut rng, &NOOP).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! k-means with k-means++ seeding.
 
 use rgae_linalg::{Mat, Rng64};
-use rgae_obs::{span, Recorder, NOOP};
+use rgae_obs::{span, Recorder};
 
 use crate::{par_point_chunk, Error, Result};
 
@@ -23,13 +23,11 @@ pub struct KMeansResult {
 ///
 /// Empty clusters are re-seeded with the point farthest from its centroid,
 /// so the result always has exactly `k` non-empty clusters when `n ≥ k`.
-pub fn kmeans(points: &Mat, k: usize, max_iter: usize, rng: &mut Rng64) -> Result<KMeansResult> {
-    kmeans_traced(points, k, max_iter, rng, &NOOP)
-}
-
-/// [`kmeans`] reporting into a run-log recorder: a `kmeans` span plus the
-/// `kmeans_iterations` counter and `kmeans_inertia` gauge.
-pub fn kmeans_traced(
+///
+/// Reports into `rec` (pass [`rgae_obs::NOOP`] when there is no run log): a
+/// `kmeans` span plus the `kmeans_iterations` counter and `kmeans_inertia`
+/// gauge.
+pub fn kmeans(
     points: &Mat,
     k: usize,
     max_iter: usize,
@@ -188,6 +186,7 @@ pub fn kmeans_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgae_obs::NOOP;
 
     /// Three well-separated blobs in 2-D.
     fn blobs(rng: &mut Rng64) -> (Mat, Vec<usize>) {
@@ -207,7 +206,7 @@ mod tests {
     fn recovers_separated_blobs() {
         let mut rng = Rng64::seed_from_u64(1);
         let (x, labels) = blobs(&mut rng);
-        let res = kmeans(&x, 3, 100, &mut rng).unwrap();
+        let res = kmeans(&x, 3, 100, &mut rng, &NOOP).unwrap();
         // Every blob must map to one pure cluster.
         for chunk in 0..3 {
             let first = res.assignments[chunk * 30];
@@ -227,8 +226,8 @@ mod tests {
     fn inertia_decreases_with_more_clusters() {
         let mut rng = Rng64::seed_from_u64(2);
         let (x, _) = blobs(&mut rng);
-        let r1 = kmeans(&x, 1, 50, &mut rng).unwrap();
-        let r3 = kmeans(&x, 3, 50, &mut rng).unwrap();
+        let r1 = kmeans(&x, 1, 50, &mut rng, &NOOP).unwrap();
+        let r3 = kmeans(&x, 3, 50, &mut rng, &NOOP).unwrap();
         assert!(r3.inertia < r1.inertia);
     }
 
@@ -236,7 +235,7 @@ mod tests {
     fn k_equals_n_zero_inertia() {
         let x = Mat::from_rows(&[vec![0.0, 0.0], vec![5.0, 5.0], vec![9.0, 1.0]]).unwrap();
         let mut rng = Rng64::seed_from_u64(3);
-        let res = kmeans(&x, 3, 50, &mut rng).unwrap();
+        let res = kmeans(&x, 3, 50, &mut rng, &NOOP).unwrap();
         assert!(res.inertia < 1e-12);
         let mut sorted = res.assignments.clone();
         sorted.sort_unstable();
@@ -247,15 +246,15 @@ mod tests {
     fn rejects_bad_k() {
         let x = Mat::zeros(2, 2);
         let mut rng = Rng64::seed_from_u64(4);
-        assert!(kmeans(&x, 0, 10, &mut rng).is_err());
-        assert!(kmeans(&x, 3, 10, &mut rng).is_err());
+        assert!(kmeans(&x, 0, 10, &mut rng, &NOOP).is_err());
+        assert!(kmeans(&x, 3, 10, &mut rng, &NOOP).is_err());
     }
 
     #[test]
     fn all_clusters_non_empty() {
         let mut rng = Rng64::seed_from_u64(5);
         let (x, _) = blobs(&mut rng);
-        let res = kmeans(&x, 5, 100, &mut rng).unwrap();
+        let res = kmeans(&x, 5, 100, &mut rng, &NOOP).unwrap();
         let mut counts = vec![0usize; 5];
         for &a in &res.assignments {
             counts[a] += 1;
@@ -275,7 +274,7 @@ mod tests {
             let (x, _) = blobs(&mut rng);
             let reference = rgae_par::with_threads(1, || {
                 let mut r = Rng64::seed_from_u64(seed + 100);
-                kmeans(&x, 5, 100, &mut r).unwrap()
+                kmeans(&x, 5, 100, &mut r, &NOOP).unwrap()
             });
             let mut counts = vec![0usize; 5];
             for &a in &reference.assignments {
@@ -285,7 +284,7 @@ mod tests {
             for t in [2, 3, 8] {
                 let got = rgae_par::with_threads(t, || {
                     let mut r = Rng64::seed_from_u64(seed + 100);
-                    kmeans(&x, 5, 100, &mut r).unwrap()
+                    kmeans(&x, 5, 100, &mut r, &NOOP).unwrap()
                 });
                 assert_eq!(got.assignments, reference.assignments, "threads={t}");
                 assert_eq!(
@@ -308,8 +307,8 @@ mod tests {
         let (x, _) = blobs(&mut rng1);
         let mut ra = Rng64::seed_from_u64(7);
         let mut rb = Rng64::seed_from_u64(7);
-        let r1 = kmeans(&x, 3, 100, &mut ra).unwrap();
-        let r2 = kmeans(&x, 3, 100, &mut rb).unwrap();
+        let r1 = kmeans(&x, 3, 100, &mut ra, &NOOP).unwrap();
+        let r2 = kmeans(&x, 3, 100, &mut rb, &NOOP).unwrap();
         assert_eq!(r1.assignments, r2.assignments);
     }
 }

@@ -19,7 +19,7 @@ mod soft;
 
 pub use gmm::GaussianMixture;
 pub use hungarian::hungarian;
-pub use kmeans::{kmeans, kmeans_traced, KMeansResult};
+pub use kmeans::{kmeans, KMeansResult};
 pub use metrics::{accuracy, ari, best_mapping, confusion_matrix, map_predictions_to_labels, nmi};
 pub use soft::{
     dec_target_distribution, gaussian_soft_assignments, gaussian_soft_assignments_tempered,

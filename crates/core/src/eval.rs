@@ -1,12 +1,11 @@
 //! Evaluation helpers shared by the trainer and the experiment harness.
 
 use rgae_cluster::{
-    accuracy, ari, gaussian_soft_assignments, gaussian_soft_assignments_tempered, kmeans_traced,
-    nmi,
+    accuracy, ari, gaussian_soft_assignments, gaussian_soft_assignments_tempered, kmeans, nmi,
 };
 use rgae_linalg::{Mat, Rng64};
 use rgae_models::{GaeModel, TrainData};
-use rgae_obs::{Recorder, NOOP};
+use rgae_obs::Recorder;
 
 use crate::Result;
 
@@ -47,18 +46,8 @@ impl std::fmt::Display for Metrics {
 /// Soft assignments for any model: the model's own head when it has one
 /// (second group), otherwise k-means hard clusters turned soft through the
 /// Ξ operator's Eq. 15 Gaussian kernel (the paper's recipe for hard
-/// assignment matrices).
+/// assignment matrices). The k-means fallback reports into `rec`.
 pub fn soft_assignments_or_kmeans(
-    model: &dyn GaeModel,
-    data: &TrainData,
-    rng: &mut Rng64,
-) -> Result<Mat> {
-    soft_assignments_or_kmeans_traced(model, data, rng, &NOOP)
-}
-
-/// [`soft_assignments_or_kmeans`] reporting the k-means fallback (when the
-/// model has no head of its own) into a run-log recorder.
-pub fn soft_assignments_or_kmeans_traced(
     model: &dyn GaeModel,
     data: &TrainData,
     rng: &mut Rng64,
@@ -68,7 +57,7 @@ pub fn soft_assignments_or_kmeans_traced(
         return Ok(p);
     }
     let z = model.embed(data);
-    let km = kmeans_traced(&z, data.num_classes, 100, rng, rec)?;
+    let km = kmeans(&z, data.num_classes, 100, rng, rec)?;
     Ok(gaussian_soft_assignments(
         &z,
         &km.assignments,
@@ -79,9 +68,9 @@ pub fn soft_assignments_or_kmeans_traced(
 /// Soft assignments as the Ξ operator should see them: the model's own
 /// calibrated [`rgae_models::GaeModel::xi_assignments`] when available,
 /// otherwise the dimension-tempered Eq. 15 kernel over k-means hard
-/// clusters, with the fallback reported into a run-log recorder. Row argmax
-/// is identical to [`soft_assignments_or_kmeans`].
-pub fn xi_assignments_or_kmeans_traced(
+/// clusters, with the fallback reported into `rec`. Row argmax is identical
+/// to [`soft_assignments_or_kmeans`].
+pub fn xi_assignments_or_kmeans(
     model: &dyn GaeModel,
     data: &TrainData,
     rng: &mut Rng64,
@@ -91,7 +80,7 @@ pub fn xi_assignments_or_kmeans_traced(
         return Ok(p);
     }
     let z = model.embed(data);
-    let km = kmeans_traced(&z, data.num_classes, 100, rng, rec)?;
+    let km = kmeans(&z, data.num_classes, 100, rng, rec)?;
     Ok(gaussian_soft_assignments_tempered(
         &z,
         &km.assignments,
@@ -100,26 +89,16 @@ pub fn xi_assignments_or_kmeans_traced(
     )?)
 }
 
-/// Evaluate a model against ground truth: argmax of the soft assignments.
+/// Evaluate a model against ground truth: argmax of the soft assignments,
+/// with any clustering fallback work reported into `rec`.
 pub fn evaluate(
-    model: &dyn GaeModel,
-    data: &TrainData,
-    truth: &[usize],
-    rng: &mut Rng64,
-) -> Result<Metrics> {
-    evaluate_traced(model, data, truth, rng, &NOOP)
-}
-
-/// [`evaluate`] reporting any clustering fallback work into a run-log
-/// recorder.
-pub fn evaluate_traced(
     model: &dyn GaeModel,
     data: &TrainData,
     truth: &[usize],
     rng: &mut Rng64,
     rec: &dyn Recorder,
 ) -> Result<Metrics> {
-    let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+    let p = soft_assignments_or_kmeans(model, data, rng, rec)?;
     Ok(Metrics::from_predictions(&p.row_argmax(), truth))
 }
 

@@ -32,7 +32,7 @@ use rgae_cluster::accuracy;
 use rgae_graph::{AttributedGraph, GraphStats};
 use rgae_guard::{
     emit_finding, FaultKind, FaultPlan, Finding, GuardConfig, HealthMonitor, RecoveryPolicy,
-    RetryPlan, Severity,
+    RetryPlan, Severity, SNAPSHOT_EVERY,
 };
 use rgae_linalg::{Csr, Rng64};
 use rgae_models::{ClusterStep, GaeModel, ModelState, StepSpec, TrainData};
@@ -40,12 +40,13 @@ use rgae_obs::{span, EpochEvent, Event, Recorder, RunSummary, NOOP};
 
 use crate::checkpoint::{CheckpointOpts, Phase, Saver, TrainerState, VARIANT_PLAIN, VARIANT_R};
 use crate::diagnostics::{lambda_fd, lambda_fr, one_hot_targets_counted, q_prime};
-use crate::eval::{
-    evaluate_traced, soft_assignments_or_kmeans_traced, xi_assignments_or_kmeans_traced, Metrics,
-};
+use crate::eval::{evaluate, soft_assignments_or_kmeans, xi_assignments_or_kmeans, Metrics};
 use crate::upsilon::{upsilon, UpsilonConfig};
 use crate::xi::{xi, Omega, XiConfig};
 use crate::Result;
+
+/// The paper's stop rule: an R run converges once |Ω| ≥ 0.9·N.
+const CONVERGENCE: f64 = 0.9;
 
 /// How Υ counters Feature Drift.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,7 +63,8 @@ pub enum FdMode {
 #[derive(Clone, Debug)]
 pub struct RConfig {
     /// Ξ configuration (α₁, α₂ and their ablation switches). With both
-    /// switches off Ξ does not run and Ω = 𝒱 always (Table 8 "ablate both").
+    /// switches off Ξ does not run, Ω = 𝒱 always, and the run never
+    /// converges early (Table 8 "ablate both").
     pub xi: XiConfig,
     /// Υ configuration (add/drop ablation switches). With both switches off
     /// Υ does not run and A^self = A always (Table 9 "ablate both").
@@ -79,8 +81,6 @@ pub struct RConfig {
     pub max_epochs: usize,
     /// Minimum clustering-phase epochs before the convergence check.
     pub min_epochs: usize,
-    /// Convergence threshold on |Ω| / N (paper: 0.9).
-    pub convergence: f64,
     /// Delay (epochs) before Ξ activates; 0 is the paper's protection
     /// strategy, larger values reproduce Table 6's correction variants.
     pub delay_xi: usize,
@@ -125,7 +125,6 @@ impl Default for RConfig {
             pretrain_epochs: 200,
             max_epochs: 200,
             min_epochs: 30,
-            convergence: 0.9,
             delay_xi: 0,
             fd_mode: FdMode::GradualCorrection,
             track_diagnostics: false,
@@ -220,7 +219,6 @@ impl RConfig {
             ("pretrain_epochs", Json::Int(self.pretrain_epochs as i64)),
             ("max_epochs", Json::Int(self.max_epochs as i64)),
             ("min_epochs", Json::Int(self.min_epochs as i64)),
-            ("convergence", Json::Num(self.convergence)),
             ("delay_xi", Json::Int(self.delay_xi as i64)),
             (
                 "fd_mode",
@@ -256,15 +254,7 @@ impl RConfig {
                 "guard",
                 self.guard.as_ref().map_or(Json::Null, |g| {
                     obj(vec![
-                        ("spike_factor", Json::Num(g.spike_factor)),
-                        ("spike_window", Json::Int(g.spike_window as i64)),
-                        ("spike_min_history", Json::Int(g.spike_min_history as i64)),
-                        ("collapse_floor", Json::Num(g.collapse_floor)),
-                        ("omega_floor", Json::Num(g.omega_floor)),
-                        ("check_params", Json::Bool(g.check_params)),
-                        ("snapshot_every", Json::Int(g.snapshot_every as i64)),
                         ("max_retries", Json::Int(g.max_retries as i64)),
-                        ("lr_backoff", Json::Num(g.lr_backoff)),
                         (
                             "faults",
                             Json::Arr(g.faults.iter().map(|f| Json::Str(f.to_string())).collect()),
@@ -458,7 +448,6 @@ enum Verdict {
 /// ever touches the RNG stream or reorders trainer computation, which is
 /// what keeps a fault-free guarded run bit-identical to an unguarded one.
 struct GuardDriver<'r> {
-    cfg: GuardConfig,
     monitor: HealthMonitor,
     policy: RecoveryPolicy,
     faults: FaultPlan,
@@ -483,22 +472,21 @@ impl<'r> GuardDriver<'r> {
         variant: u8,
         phase: &'static str,
     ) -> Option<Self> {
-        let cfg = cfg?.clone();
+        let cfg = cfg?;
         let specs = if phase == "clustering" {
             cfg.faults.clone()
         } else {
             Vec::new()
         };
         Some(GuardDriver {
-            monitor: HealthMonitor::new(cfg.clone()),
-            policy: RecoveryPolicy::new(cfg.max_retries, cfg.lr_backoff),
+            monitor: HealthMonitor::default(),
+            policy: RecoveryPolicy::new(cfg.max_retries),
             faults: FaultPlan::new(specs),
             rec,
             variant,
             phase,
             grad_base: model.nonfinite_grad_steps(),
             last_good: None,
-            cfg,
         })
     }
 
@@ -539,7 +527,7 @@ impl<'r> GuardDriver<'r> {
         model: &dyn GaeModel,
         save_pending: bool,
     ) -> Verdict {
-        let snap = save_pending || (epoch + 1).is_multiple_of(self.cfg.snapshot_every.max(1));
+        let snap = save_pending || (epoch + 1).is_multiple_of(SNAPSHOT_EVERY);
         let mut tripped = false;
         if let Some(f) = self.monitor.observe_loss(loss) {
             tripped |= f.is_trip();
@@ -554,8 +542,7 @@ impl<'r> GuardDriver<'r> {
         }
         let exported = snap.then(|| model.export_params());
         if let Some(exported) = &exported {
-            let all_finite = !self.cfg.check_params || exported.all_finite();
-            if let Some(f) = self.monitor.observe_param_scan(all_finite) {
+            if let Some(f) = self.monitor.observe_param_scan(exported.all_finite()) {
                 tripped |= f.is_trip();
                 emit_finding(self.rec, self.phase, Some(epoch), &f);
             }
@@ -718,7 +705,8 @@ fn emit_omega_guard(rec: &dyn Recorder, kind: &str, epoch: usize, detail: &str) 
 /// - plain diagnostics compare against the Ω and Υ graph the R model would
 ///   use right now (extra Ξ assignments, so they consume the RNG stream);
 /// - R checkpoints carry Ω and the graphs (A^self_clus, snapshot graphs);
-/// - the checkpoint tag ([`VARIANT_PLAIN`] / [`VARIANT_R`]).
+/// - the checkpoint variant tag (plain or R), which keeps the two arms from
+///   resuming or rolling back into each other's checkpoints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Arm {
     /// The un-modified model 𝒟.
@@ -1003,7 +991,7 @@ impl PhaseDriver<'_> {
             Some(m) => m,
             None => {
                 let _eval = span(rec, "eval");
-                evaluate_traced(model, data, truth, rng, rec)?
+                evaluate(model, data, truth, rng, rec)?
             }
         };
 
@@ -1020,7 +1008,7 @@ impl PhaseDriver<'_> {
             && cfg.fd_mode == FdMode::SingleStepProtection
         {
             let _upsilon = span(rec, "upsilon");
-            let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+            let p = soft_assignments_or_kmeans(model, data, rng, rec)?;
             let z = model.embed(data);
             let out = upsilon(&data.adjacency, &p, &z, &ls.omega.indices, &cfg.upsilon)?;
             rec.count("edges_added", out.added.len() as u64);
@@ -1130,11 +1118,14 @@ impl PhaseDriver<'_> {
             // This epoch ends the run either by convergence (|Ω| ≥ 0.9N,
             // checked on the Ω that drove the step) or by exhausting the
             // budget; both force a full evaluation so the last record
-            // always carries metrics regardless of `eval_every`.
+            // always carries metrics regardless of `eval_every`. Only a
+            // run whose Ξ selects Ω can converge: with Ξ ablated Ω = 𝒱
+            // always, and the run goes to `max_epochs` like a plain one.
             let converging = self.arm == Arm::R
+                && cfg.xi_on()
                 && ls.converged_at.is_none()
                 && epoch >= cfg.min_epochs
-                && ls.omega.coverage(n) >= cfg.convergence;
+                && ls.omega.coverage(n) >= CONVERGENCE;
             let last_epoch = converging || epoch + 1 == cfg.max_epochs;
 
             let (record, p) = {
@@ -1189,7 +1180,7 @@ impl PhaseDriver<'_> {
         }
         let final_metrics = {
             let _eval = span(rec, "eval");
-            evaluate_traced(model, data, truth, rng, rec)?
+            evaluate(model, data, truth, rng, rec)?
         };
         if rec.enabled() {
             self.run_end(RunSummary {
@@ -1273,7 +1264,7 @@ impl PhaseDriver<'_> {
         if epoch.is_multiple_of(cfg.m1) {
             if cfg.xi_on() && epoch >= cfg.delay_xi {
                 let _xi = span(rec, "xi");
-                let p = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
+                let p = xi_assignments_or_kmeans(model, data, rng, rec)?;
                 let candidate = xi(&p, &cfg.xi)?;
                 if candidate.is_empty() {
                     emit_omega_guard(
@@ -1294,7 +1285,7 @@ impl PhaseDriver<'_> {
             && epoch.is_multiple_of(cfg.m2)
         {
             let _upsilon = span(rec, "upsilon");
-            let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+            let p = soft_assignments_or_kmeans(model, data, rng, rec)?;
             let z = model.embed(data);
             let out = upsilon(&data.adjacency, &p, &z, &ls.omega.indices, &cfg.upsilon)?;
             rec.count("edges_added", out.added.len() as u64);
@@ -1324,7 +1315,7 @@ impl PhaseDriver<'_> {
         let (omega, a_self) = (&ls.omega, &ls.a_self);
 
         let eval_t = span(rec, "eval");
-        let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+        let p = soft_assignments_or_kmeans(model, data, rng, rec)?;
         let pred = p.row_argmax();
         let eval_now = force_eval || epoch.is_multiple_of(cfg.eval_every);
         let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
@@ -1367,7 +1358,7 @@ impl PhaseDriver<'_> {
             let diag_omega = if r {
                 omega
             } else {
-                let p_xi = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
+                let p_xi = xi_assignments_or_kmeans(model, data, rng, rec)?;
                 hypothetical = xi(&p_xi, &cfg.xi)?;
                 omega_size = hypothetical.len();
                 &hypothetical
@@ -1567,19 +1558,11 @@ fn flush_kernel_stats(rec: &dyn Recorder) {
 /// pure reconstruction for first-group models). Diagnostics are recorded
 /// when `track_diagnostics` is set (using `cfg.xi` and `cfg.upsilon` only to
 /// compute the hypothetical Ω and Υ graph for the Λ comparisons).
-pub fn train_plain(
-    model: &mut dyn GaeModel,
-    graph: &AttributedGraph,
-    cfg: &RConfig,
-    rng: &mut Rng64,
-) -> Result<RReport> {
-    train_plain_ckpt(model, graph, cfg, rng, &NOOP, None)
-}
-
-/// [`train_plain`] with a run-log recorder (spans, epoch events, and the
-/// closing run summary, mirroring the R trainer's trace) and, when `ckpt`
-/// is given, crash-safe checkpointing: periodic saves in both phases plus
-/// phase-boundary and end-of-run saves, and (with `opts.resume`)
+///
+/// Reports into `rec` (spans, epoch events, and the closing run summary,
+/// mirroring the R trainer's trace; pass [`NOOP`] for no run log) and, when
+/// `ckpt` is given, checkpoints crash-safely: periodic saves in both phases
+/// plus phase-boundary and end-of-run saves, and (with `opts.resume`)
 /// bit-identical mid-phase re-entry — the plain counterpart of
 /// [`RTrainer::with_checkpoints`].
 pub fn train_plain_ckpt(

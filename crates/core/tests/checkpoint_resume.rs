@@ -7,7 +7,7 @@
 mod common;
 
 use common::{assert_r_reports_eq, temp_dir, test_graph};
-use rgae_core::{train_plain, train_plain_ckpt, CheckpointOpts, Error, RConfig, RReport, RTrainer};
+use rgae_core::{train_plain_ckpt, CheckpointOpts, Error, RConfig, RReport, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::{ComposedModel, GaeModel, TrainData};
 use rgae_obs::{Event, MemorySink, Recorder, NOOP};
@@ -170,7 +170,7 @@ fn plain_halt_and_resume_matches_uninterrupted() {
         let data = TrainData::from_graph(&graph);
         let mut rng = Rng64::seed_from_u64(SEED);
         let mut model = ComposedModel::dgae(data.num_features(), graph.num_classes(), &mut rng);
-        train_plain(&mut model, &graph, &cfg, &mut rng).unwrap()
+        train_plain_ckpt(&mut model, &graph, &cfg, &mut rng, &NOOP, None).unwrap()
     };
     let mut halts = 0;
     for n in 1..=9 {

@@ -34,7 +34,6 @@ fn guard(faults: &str, max_retries: usize) -> GuardConfig {
     GuardConfig {
         faults: FaultSpec::parse_list(faults).unwrap(),
         max_retries,
-        ..GuardConfig::default()
     }
 }
 

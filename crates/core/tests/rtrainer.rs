@@ -5,10 +5,10 @@
 mod common;
 
 use common::{assert_metrics_bits_eq, test_graph};
-use rgae_core::{train_plain, FdMode, RConfig, RTrainer};
+use rgae_core::{train_plain_ckpt, FdMode, RConfig, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::{ComposedModel, GaeModel, TrainData};
-use rgae_obs::{Event, MemorySink};
+use rgae_obs::{Event, MemorySink, NOOP};
 
 fn quick_cfg() -> RConfig {
     let mut cfg = RConfig::for_dataset("cora-like").quick();
@@ -105,7 +105,15 @@ fn r_beats_plain_from_shared_pretraining() {
         let mut plain_cfg = cfg.clone();
         plain_cfg.pretrain_epochs = 0;
         let mut rng_plain = Rng64::seed_from_u64(7);
-        let plain = train_plain(&mut plain_model, &g, &plain_cfg, &mut rng_plain).unwrap();
+        let plain = train_plain_ckpt(
+            &mut plain_model,
+            &g,
+            &plain_cfg,
+            &mut rng_plain,
+            &NOOP,
+            None,
+        )
+        .unwrap();
 
         // R clustering phase.
         let mut rng_r = Rng64::seed_from_u64(7);
@@ -195,6 +203,26 @@ fn xi_ablation_keeps_omega_full() {
     for e in &report.epochs {
         assert_eq!(e.omega_size, g.num_nodes());
     }
+}
+
+/// With Ξ ablated Ω = 𝒱 always, which would meet the |Ω| ≥ 0.9N test at
+/// `min_epochs`; such a run must instead train its full `max_epochs`
+/// budget and report no convergence.
+#[test]
+fn xi_ablation_runs_the_full_budget() {
+    let g = test_graph(5);
+    let mut rng = Rng64::seed_from_u64(5);
+    let data = TrainData::from_graph(&g);
+    let mut model = ComposedModel::dgae(data.num_features(), g.num_classes(), &mut rng);
+    let mut cfg = quick_cfg();
+    cfg.pretrain_epochs = 20;
+    cfg.xi.use_alpha1 = false;
+    cfg.xi.use_alpha2 = false;
+    cfg.min_epochs = 5;
+    cfg.max_epochs = 20;
+    let report = RTrainer::new(cfg).train(&mut model, &g, &mut rng).unwrap();
+    assert_eq!(report.converged_at, None);
+    assert_eq!(report.epochs.len(), 20);
 }
 
 #[test]
@@ -346,7 +374,7 @@ fn plain_trainer_tracks_diagnostics_too() {
     cfg.track_diagnostics = true;
     cfg.pretrain_epochs = 40;
     cfg.max_epochs = 10;
-    let report = train_plain(&mut model, &g, &cfg, &mut rng).unwrap();
+    let report = train_plain_ckpt(&mut model, &g, &cfg, &mut rng, &NOOP, None).unwrap();
     assert_eq!(report.epochs.len(), 10);
     assert!(report.epochs.iter().any(|e| e.lambda_fd_vanilla.is_some()));
     assert!(report.final_metrics.acc > 0.4);
@@ -354,7 +382,7 @@ fn plain_trainer_tracks_diagnostics_too() {
 
 /// The plain model 𝒟 is the R-𝒟 loop with both operators off: with Ξ and Υ
 /// disabled and no early convergence (`min_epochs = max_epochs`),
-/// `RTrainer::train` reproduces `train_plain` bit for bit — per-epoch
+/// `RTrainer::train` reproduces `train_plain_ckpt` bit for bit — per-epoch
 /// losses, eval metrics, |Ω| and link diffs, plus the pretrain and final
 /// metrics — for a first-group model and both second-group heads, serial and
 /// parallel.
@@ -389,7 +417,7 @@ fn plain_equals_r_with_operators_off() {
             let what = format!("{name} @ {threads} threads");
             let mut rng = Rng64::seed_from_u64(23);
             let mut model = build(&data, g.num_classes(), &mut rng);
-            let plain = train_plain(model.as_mut(), &g, &cfg, &mut rng).unwrap();
+            let plain = train_plain_ckpt(model.as_mut(), &g, &cfg, &mut rng, &NOOP, None).unwrap();
             let mut rng = Rng64::seed_from_u64(23);
             let mut model = build(&data, g.num_classes(), &mut rng);
             let r = RTrainer::new(cfg.clone())

@@ -3,7 +3,7 @@
 
 use rgae_graph::{apply_edits, AttributedGraph, EditSet};
 use rgae_linalg::Rng64;
-use rgae_obs::{Recorder, NOOP};
+use rgae_obs::Recorder;
 
 use crate::Result;
 
@@ -13,18 +13,9 @@ use crate::Result;
 /// added: on dense (or small) graphs the rejection sampler can exhaust its
 /// attempt budget — or the supply of unlinked pairs — before reaching
 /// `count`, and callers calibrating a corruption *level* need the delivered
-/// amount, not the requested one.
+/// amount, not the requested one. Any shortfall is also surfaced in `rec` as
+/// an `edges_add_shortfall` counter.
 pub fn add_random_edges(
-    graph: &AttributedGraph,
-    count: usize,
-    rng: &mut Rng64,
-) -> Result<(AttributedGraph, usize)> {
-    add_random_edges_traced(graph, count, rng, &NOOP)
-}
-
-/// [`add_random_edges`] with a run-log recorder: any shortfall is also
-/// surfaced as an `edges_add_shortfall` counter.
-pub fn add_random_edges_traced(
     graph: &AttributedGraph,
     count: usize,
     rng: &mut Rng64,
@@ -103,6 +94,7 @@ pub fn drop_feature_columns(
 mod tests {
     use super::*;
     use crate::{citation_like, CitationSpec};
+    use rgae_obs::NOOP;
 
     fn toy() -> AttributedGraph {
         citation_like(
@@ -127,7 +119,7 @@ mod tests {
     fn add_edges_increases_count() {
         let g = toy();
         let mut rng = Rng64::seed_from_u64(1);
-        let (g2, added) = add_random_edges(&g, 40, &mut rng).unwrap();
+        let (g2, added) = add_random_edges(&g, 40, &mut rng, &NOOP).unwrap();
         assert_eq!(added, 40);
         assert_eq!(g2.num_edges(), g.num_edges() + 40);
         // Features untouched.
@@ -141,7 +133,7 @@ mod tests {
         // More edges than the 100-node graph has unlinked pairs: the
         // sampler must stop short and report the delivered amount.
         let requested = 10_000;
-        let (g2, added) = add_random_edges(&g, requested, &mut rng).unwrap();
+        let (g2, added) = add_random_edges(&g, requested, &mut rng, &NOOP).unwrap();
         assert!(added < requested);
         // The returned count is the exact delivery, not the request.
         assert_eq!(g2.num_edges(), g.num_edges() + added);
@@ -153,7 +145,7 @@ mod tests {
         let sink = rgae_obs::MemorySink::new();
         let mut rng = Rng64::seed_from_u64(9);
         let requested = 10_000;
-        let (_, added) = add_random_edges_traced(&g, requested, &mut rng, &sink).unwrap();
+        let (_, added) = add_random_edges(&g, requested, &mut rng, &sink).unwrap();
         assert_eq!(
             sink.counter_total("edges_add_shortfall"),
             (requested - added) as u64
@@ -162,7 +154,7 @@ mod tests {
         // An exactly-delivered request emits no shortfall counter.
         let sink = rgae_obs::MemorySink::new();
         let mut rng = Rng64::seed_from_u64(10);
-        let (_, added) = add_random_edges_traced(&g, 5, &mut rng, &sink).unwrap();
+        let (_, added) = add_random_edges(&g, 5, &mut rng, &sink).unwrap();
         assert_eq!(added, 5);
         assert_eq!(sink.counter_total("edges_add_shortfall"), 0);
     }
@@ -171,8 +163,10 @@ mod tests {
     fn corruptions_are_deterministic_per_seed() {
         let g = toy();
         for seed in [11u64, 12, 13] {
-            let (a1, n1) = add_random_edges(&g, 25, &mut Rng64::seed_from_u64(seed)).unwrap();
-            let (a2, n2) = add_random_edges(&g, 25, &mut Rng64::seed_from_u64(seed)).unwrap();
+            let (a1, n1) =
+                add_random_edges(&g, 25, &mut Rng64::seed_from_u64(seed), &NOOP).unwrap();
+            let (a2, n2) =
+                add_random_edges(&g, 25, &mut Rng64::seed_from_u64(seed), &NOOP).unwrap();
             assert_eq!(n1, n2);
             assert_eq!(a1.edges(), a2.edges());
 
@@ -185,8 +179,8 @@ mod tests {
             assert_eq!(d1.edges(), d2.edges());
         }
         // Different seeds genuinely vary the draw.
-        let (b1, _) = add_random_edges(&g, 25, &mut Rng64::seed_from_u64(1)).unwrap();
-        let (b2, _) = add_random_edges(&g, 25, &mut Rng64::seed_from_u64(2)).unwrap();
+        let (b1, _) = add_random_edges(&g, 25, &mut Rng64::seed_from_u64(1), &NOOP).unwrap();
+        let (b2, _) = add_random_edges(&g, 25, &mut Rng64::seed_from_u64(2), &NOOP).unwrap();
         assert_ne!(b1.edges(), b2.edges());
     }
 

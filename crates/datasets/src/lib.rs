@@ -31,10 +31,7 @@ pub mod presets;
 
 pub use air::{air_traffic_like, AirTrafficSpec};
 pub use citation::{citation_like, CitationSpec};
-pub use corrupt::{
-    add_feature_noise, add_random_edges, add_random_edges_traced, drop_feature_columns,
-    drop_random_edges,
-};
+pub use corrupt::{add_feature_noise, add_random_edges, drop_feature_columns, drop_random_edges};
 pub use multiplex::{multiplex_like, LayerSpec, MultiplexSpec};
 
 /// Errors from dataset generation.

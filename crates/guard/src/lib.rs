@@ -16,6 +16,10 @@
 //!   (`RGAE_FAULT=nan_grad@epoch:12,...`) so every guard and recovery path is
 //!   exercisable in CI.
 //!
+//! The thresholds are constants ([`SPIKE_FACTOR`], [`SNAPSHOT_EVERY`], ...);
+//! a run sets only its retry budget and its fault injections
+//! ([`GuardConfig`]).
+//!
 //! The crate is trainer-agnostic: it observes scalars and matrices handed to
 //! it and never touches the RNG stream, so a fault-free guarded run stays
 //! bit-identical to an unguarded one.
@@ -30,38 +34,36 @@ pub use policy::{RecoveryPolicy, RetryPlan};
 
 use rgae_obs::{Event, Recorder};
 
-/// Knobs for the health monitor, the recovery policy, and fault injection.
+/// A loss above `SPIKE_FACTOR ×` the trailing median trips the divergence
+/// guard.
+pub const SPIKE_FACTOR: f64 = 25.0;
+/// Trailing window of healthy losses the spike guard's median is taken over.
+pub const SPIKE_WINDOW: usize = 11;
+/// Healthy losses observed before the spike guard can trip (early-epoch
+/// losses are legitimately wild).
+pub const SPIKE_MIN_HISTORY: usize = 5;
+/// A soft-assignment column whose mean mass falls below this fraction of the
+/// uniform share `1/k` counts as a collapsed cluster (warning).
+pub const COLLAPSE_FLOOR: f64 = 1e-4;
+/// `|Ω| / N` below this fraction counts as a degenerate Ω (warning).
+pub const OMEGA_FLOOR: f64 = 0.01;
+/// Epoch cadence of the expensive guard work: the parameter scan and the
+/// in-memory rollback snapshot (a full state clone). The per-epoch loss and
+/// gradient checks are O(1) and always on; this cadence bounds the O(model)
+/// work so guard overhead stays a small fraction of the epoch cost. A
+/// pending checkpoint save forces a snapshot regardless.
+pub const SNAPSHOT_EVERY: usize = 10;
+/// Learning-rate multiplier applied on every retry (compounds).
+pub const LR_BACKOFF: f64 = 0.5;
+
+/// The guard layer's run-level settings: the retry budget and the fault
+/// injections. Every threshold is a constant of this crate.
 ///
-/// `Default` gives the production thresholds; `RConfig::guard = None`
-/// (the default) disables the whole layer.
+/// `RConfig::guard = None` (the default) disables the whole layer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GuardConfig {
-    /// A loss above `spike_factor ×` the trailing median trips the
-    /// divergence guard.
-    pub spike_factor: f64,
-    /// Trailing window of healthy losses the median is taken over.
-    pub spike_window: usize,
-    /// Minimum healthy losses observed before the spike guard can trip
-    /// (early-epoch losses are legitimately wild).
-    pub spike_min_history: usize,
-    /// A soft-assignment column whose mean mass falls below this fraction of
-    /// the uniform share `1/k` counts as a collapsed cluster (warning).
-    pub collapse_floor: f64,
-    /// `|Ω| / N` below this fraction counts as a degenerate Ω (warning).
-    pub omega_floor: f64,
-    /// Scan exported parameters (weights, biases, optimiser moments) for
-    /// non-finite values on the snapshot cadence.
-    pub check_params: bool,
-    /// Epoch cadence of the expensive guard work: the parameter scan and
-    /// the in-memory rollback snapshot (a full state clone). The per-epoch
-    /// loss and gradient checks are O(1) and always on; this knob bounds
-    /// the O(model) work so guard overhead stays a small fraction of the
-    /// epoch cost. A pending checkpoint save forces a snapshot regardless.
-    pub snapshot_every: usize,
     /// Rollback/retry attempts before the run is marked degraded.
     pub max_retries: usize,
-    /// Learning-rate multiplier applied on every retry (compounds).
-    pub lr_backoff: f64,
     /// Deterministic fault injections (normally parsed from `RGAE_FAULT`).
     pub faults: Vec<FaultSpec>,
 }
@@ -69,15 +71,7 @@ pub struct GuardConfig {
 impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
-            spike_factor: 25.0,
-            spike_window: 11,
-            spike_min_history: 5,
-            collapse_floor: 1e-4,
-            omega_floor: 0.01,
-            check_params: true,
-            snapshot_every: 10,
             max_retries: 2,
-            lr_backoff: 0.5,
             faults: Vec::new(),
         }
     }
@@ -128,8 +122,11 @@ mod tests {
         let cfg = GuardConfig::default();
         assert!(cfg.faults.is_empty());
         assert!(cfg.max_retries >= 1);
-        assert!(cfg.lr_backoff > 0.0 && cfg.lr_backoff < 1.0);
-        assert!(cfg.spike_factor > 1.0);
+        const {
+            assert!(LR_BACKOFF > 0.0 && LR_BACKOFF < 1.0);
+            assert!(SPIKE_FACTOR > 1.0);
+            assert!(SPIKE_MIN_HISTORY < SPIKE_WINDOW);
+        }
     }
 
     #[test]

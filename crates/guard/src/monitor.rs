@@ -1,6 +1,6 @@
 //! Per-epoch numerical-health checks.
 
-use crate::GuardConfig;
+use crate::{COLLAPSE_FLOOR, OMEGA_FLOOR, SPIKE_FACTOR, SPIKE_MIN_HISTORY, SPIKE_WINDOW};
 use rgae_linalg::Mat;
 
 /// How serious a finding is.
@@ -53,22 +53,13 @@ impl Finding {
 /// The monitor only *observes* — it never mutates trainer state and never
 /// consumes RNG, which is what keeps guarded fault-free runs bit-identical
 /// to unguarded ones.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HealthMonitor {
-    cfg: GuardConfig,
     /// Trailing window of healthy (finite, non-spiking) losses.
     losses: Vec<f64>,
 }
 
 impl HealthMonitor {
-    /// A monitor with the given thresholds and empty history.
-    pub fn new(cfg: GuardConfig) -> Self {
-        HealthMonitor {
-            cfg,
-            losses: Vec::new(),
-        }
-    }
-
     /// Forget all loss history. Called after a rollback so the retry is not
     /// judged against the diverged attempt's trailing window.
     pub fn reset(&mut self) {
@@ -92,24 +83,24 @@ impl HealthMonitor {
                 detail: format!("loss is {loss}"),
             });
         }
-        if self.losses.len() >= self.cfg.spike_min_history {
+        if self.losses.len() >= SPIKE_MIN_HISTORY {
             let median = self.trailing_median();
             // Median can legitimately be ~0 on converged objectives; a ratio
             // guard there would trip on noise.
-            if median > 0.0 && loss > self.cfg.spike_factor * median {
+            if median > 0.0 && loss > SPIKE_FACTOR * median {
                 return Some(Finding {
                     kind: "loss_spike",
                     severity: Severity::Trip,
                     value: Some(loss),
-                    threshold: Some(self.cfg.spike_factor * median),
+                    threshold: Some(SPIKE_FACTOR * median),
                     detail: format!(
                         "loss {loss:.6e} exceeds {}x trailing median {median:.6e}",
-                        self.cfg.spike_factor
+                        SPIKE_FACTOR
                     ),
                 });
             }
         }
-        if self.losses.len() == self.cfg.spike_window {
+        if self.losses.len() == SPIKE_WINDOW {
             self.losses.remove(0);
         }
         self.losses.push(loss);
@@ -134,7 +125,7 @@ impl HealthMonitor {
     /// Check a caller-performed parameter scan (weights, biases, optimiser
     /// moments): non-finite parameters trip.
     pub fn observe_param_scan(&self, all_finite: bool) -> Option<Finding> {
-        if all_finite || !self.cfg.check_params {
+        if all_finite {
             return None;
         }
         Some(Finding {
@@ -147,13 +138,13 @@ impl HealthMonitor {
     }
 
     /// Check the soft-assignment matrix for collapsed clusters: a column
-    /// whose mean mass is below `collapse_floor × (1/k)` warns.
+    /// whose mean mass is below `COLLAPSE_FLOOR × (1/k)` warns.
     pub fn observe_assignments(&self, p: &Mat) -> Option<Finding> {
         let (n, k) = p.shape();
         if n == 0 || k == 0 {
             return None;
         }
-        let floor = self.cfg.collapse_floor / k as f64;
+        let floor = COLLAPSE_FLOOR / k as f64;
         let masses = p.col_sums();
         let mut collapsed = 0usize;
         let mut min_mass = f64::INFINITY;
@@ -182,14 +173,14 @@ impl HealthMonitor {
             return None;
         }
         let frac = omega_len as f64 / n as f64;
-        if frac >= self.cfg.omega_floor {
+        if frac >= OMEGA_FLOOR {
             return None;
         }
         Some(Finding {
             kind: "degenerate_omega",
             severity: Severity::Warn,
             value: Some(frac),
-            threshold: Some(self.cfg.omega_floor),
+            threshold: Some(OMEGA_FLOOR),
             detail: format!("|Omega| = {omega_len} of {n} nodes is below the floor fraction"),
         })
     }
@@ -211,7 +202,7 @@ mod tests {
     use super::*;
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(GuardConfig::default())
+        HealthMonitor::default()
     }
 
     #[test]
@@ -244,16 +235,11 @@ mod tests {
 
     #[test]
     fn spike_window_is_bounded_and_reset_clears_it() {
-        let cfg = GuardConfig {
-            spike_window: 3,
-            spike_min_history: 2,
-            ..GuardConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
-        for i in 0..10 {
+        let mut m = monitor();
+        for i in 0..3 * SPIKE_WINDOW {
             assert!(m.observe_loss(1.0 + i as f64 * 0.01).is_none());
         }
-        assert_eq!(m.history_len(), 3);
+        assert_eq!(m.history_len(), SPIKE_WINDOW);
         m.reset();
         assert_eq!(m.history_len(), 0);
         // After reset the spike guard needs fresh history again.
@@ -283,15 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn param_scan_respects_check_params_switch() {
+    fn param_scan_trips_only_on_nonfinite_state() {
         let m = monitor();
         assert!(m.observe_param_scan(true).is_none());
-        assert_eq!(m.observe_param_scan(false).unwrap().kind, "nonfinite_param");
-        let off = HealthMonitor::new(GuardConfig {
-            check_params: false,
-            ..GuardConfig::default()
-        });
-        assert!(off.observe_param_scan(false).is_none());
+        let f = m.observe_param_scan(false).unwrap();
+        assert_eq!(f.kind, "nonfinite_param");
+        assert!(f.is_trip());
     }
 
     #[test]

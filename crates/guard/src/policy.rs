@@ -1,5 +1,7 @@
 //! Bounded retry/backoff bookkeeping for guard recoveries.
 
+use crate::LR_BACKOFF;
+
 /// What the trainer should do for one retry attempt.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPlan {
@@ -20,17 +22,15 @@ pub struct RetryPlan {
 #[derive(Clone, Debug)]
 pub struct RecoveryPolicy {
     max_retries: usize,
-    lr_backoff: f64,
     attempts: usize,
 }
 
 impl RecoveryPolicy {
     /// A fresh policy allowing `max_retries` attempts, scaling the learning
-    /// rate by `lr_backoff` on each.
-    pub fn new(max_retries: usize, lr_backoff: f64) -> Self {
+    /// rate by [`LR_BACKOFF`] on each.
+    pub fn new(max_retries: usize) -> Self {
         RecoveryPolicy {
             max_retries,
-            lr_backoff,
             attempts: 0,
         }
     }
@@ -42,7 +42,7 @@ impl RecoveryPolicy {
 
     /// Cumulative learning-rate scale after the attempts consumed so far.
     pub fn lr_scale(&self) -> f64 {
-        self.lr_backoff.powi(self.attempts as i32)
+        LR_BACKOFF.powi(self.attempts as i32)
     }
 
     /// Consume one retry. `None` once the bound is exhausted — the trainer
@@ -54,7 +54,7 @@ impl RecoveryPolicy {
         self.attempts += 1;
         Some(RetryPlan {
             attempt: self.attempts,
-            lr_scale: self.lr_backoff,
+            lr_scale: LR_BACKOFF,
             reseed_salt: (self.attempts as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         })
     }
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn retries_are_bounded_and_backoff_compounds() {
-        let mut p = RecoveryPolicy::new(2, 0.5);
+        let mut p = RecoveryPolicy::new(2);
         let a = p.next_retry().unwrap();
         assert_eq!(a.attempt, 1);
         assert_eq!(a.lr_scale, 0.5);
@@ -80,18 +80,18 @@ mod tests {
 
     #[test]
     fn zero_retries_degrades_immediately() {
-        let mut p = RecoveryPolicy::new(0, 0.5);
+        let mut p = RecoveryPolicy::new(0);
         assert_eq!(p.next_retry(), None);
         assert_eq!(p.lr_scale(), 1.0);
     }
 
     #[test]
     fn reseed_salts_are_distinct_and_deterministic() {
-        let mut p = RecoveryPolicy::new(3, 0.5);
+        let mut p = RecoveryPolicy::new(3);
         let s1 = p.next_retry().unwrap().reseed_salt;
         let s2 = p.next_retry().unwrap().reseed_salt;
         assert_ne!(s1, s2);
-        let mut q = RecoveryPolicy::new(3, 0.5);
+        let mut q = RecoveryPolicy::new(3);
         assert_eq!(q.next_retry().unwrap().reseed_salt, s1);
     }
 }

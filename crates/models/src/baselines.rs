@@ -22,6 +22,7 @@ use std::rc::Rc;
 use rgae_cluster::kmeans;
 use rgae_graph::AttributedGraph;
 use rgae_linalg::{Csr, Mat, Rng64};
+use rgae_obs::NOOP;
 
 use crate::{Result, TrainData};
 
@@ -59,7 +60,7 @@ pub fn mgae_lite(
         // MGAE re-normalises layer outputs to keep the stack stable.
         h = h.row_l2_normalized();
     }
-    let km = kmeans(&h, graph.num_classes(), 100, rng)?;
+    let km = kmeans(&h, graph.num_classes(), 100, rng, &NOOP)?;
     Ok((km.assignments, h))
 }
 
@@ -71,7 +72,7 @@ pub fn agc_lite(graph: &AttributedGraph, k_order: usize, rng: &mut Rng64) -> Res
         let fh = filt.spmm(&h).expect("filter applies");
         h = h.add(&fh).expect("same shape").scale(0.5);
     }
-    let km = kmeans(&h, graph.num_classes(), 100, rng)?;
+    let km = kmeans(&h, graph.num_classes(), 100, rng, &NOOP)?;
     Ok(km.assignments)
 }
 
@@ -88,7 +89,7 @@ pub fn spectral_lite(graph: &AttributedGraph, d: usize, rng: &mut Rng64) -> Resu
         q = aq;
         gram_schmidt(&mut q);
     }
-    let km = kmeans(&q, graph.num_classes(), 100, rng)?;
+    let km = kmeans(&q, graph.num_classes(), 100, rng, &NOOP)?;
     Ok(km.assignments)
 }
 

@@ -21,6 +21,7 @@ use std::rc::Rc;
 use rgae_autodiff::{Adam, Graph, Var};
 use rgae_cluster::{dec_target_distribution, kmeans, student_t_assignments, GaussianMixture};
 use rgae_linalg::{standard_normal, Csr, Mat, Rng64};
+use rgae_obs::NOOP;
 
 use crate::encoder::{GcnEncoder, Mlp, VarGcnEncoder};
 use crate::{Error, GaeModel, ModelState, Result, StepSpec, TrainData};
@@ -309,7 +310,7 @@ impl Head {
         match self {
             Head::None => {}
             Head::Dec { centroids, ready } => {
-                *centroids = kmeans(z, k, 100, rng)?.centroids;
+                *centroids = kmeans(z, k, 100, rng, &NOOP)?.centroids;
                 *ready = true;
             }
             Head::Gmm {
@@ -318,7 +319,7 @@ impl Head {
                 logvars,
                 ready,
             } => {
-                let gmm = GaussianMixture::fit(z, k, 100, rng)?;
+                let gmm = GaussianMixture::fit(z, k, 100, rng, &NOOP)?;
                 *weights = gmm.weights;
                 *means = gmm.means;
                 *logvars = gmm.variances.map(f64::ln);

@@ -9,6 +9,7 @@ use rgae_datasets::{citation_like, CitationSpec};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::{cosine, Csr, Rng64};
 use rgae_models::{ClusterStep, ComposedModel, GaeModel, StepSpec, TrainData};
+use rgae_obs::NOOP;
 
 fn small_graph(seed: u64) -> AttributedGraph {
     citation_like(
@@ -42,7 +43,7 @@ fn pretrain(
 }
 
 fn kmeans_acc(z: &rgae_linalg::Mat, labels: &[usize], k: usize, rng: &mut Rng64) -> f64 {
-    let km = kmeans(z, k, 100, rng).unwrap();
+    let km = kmeans(z, k, 100, rng, &NOOP).unwrap();
     accuracy(&km.assignments, labels)
 }
 

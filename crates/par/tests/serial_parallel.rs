@@ -252,7 +252,7 @@ proptest! {
     }
 
     /// The scalar-loss forwards (`bce_logits_dense`, `kl_div_const_q`,
-    /// `gaussian_kl`, `mse_const`) now run through ordered `par_sum_by`
+    /// `gaussian_kl`) now run through ordered `par_sum_by`
     /// reductions: loss and gradient bits must not depend on thread count.
     #[test]
     fn scalar_losses_bitwise_equal(
@@ -274,13 +274,11 @@ proptest! {
             let bce = g.bce_logits_dense(x, &t0).expect("shapes agree");
             let kl = g.kl_div_const_q(x, &q0).expect("shapes agree");
             let gkl = g.gaussian_kl(mu, lv).expect("shapes agree");
-            let mse = g.mse_const(x, &t0).expect("shapes agree");
             let s1 = g.add(bce, kl).expect("scalars");
-            let s2 = g.add(gkl, mse).expect("scalars");
-            let loss = g.add(s1, s2).expect("scalars");
+            let loss = g.add(s1, gkl).expect("scalars");
             g.backward(loss).expect("scalar root");
             (
-                [bce, kl, gkl, mse].map(|v| g.value(v).as_slice()[0].to_bits()),
+                [bce, kl, gkl].map(|v| g.value(v).as_slice()[0].to_bits()),
                 g.grad(x).expect("x grad").clone(),
                 g.grad(mu).expect("mu grad").clone(),
                 g.grad(lv).expect("lv grad").clone(),
@@ -307,7 +305,7 @@ proptest! {
         let k = k.min(n);
         let run = || {
             let mut rng = Rng64::seed_from_u64(seed ^ 0x8888);
-            rgae_cluster::kmeans(&points, k, 40, &mut rng).expect("k <= n")
+            rgae_cluster::kmeans(&points, k, 40, &mut rng, &rgae_obs::NOOP).expect("k <= n")
         };
         let reference = rgae_par::with_threads(1, run);
         for t in &THREADS[1..] {
@@ -337,7 +335,7 @@ proptest! {
         let k = k.min(n);
         let run = || {
             let mut rng = Rng64::seed_from_u64(seed ^ 0x9999);
-            rgae_cluster::GaussianMixture::fit(&points, k, 20, &mut rng).expect("k <= n")
+            rgae_cluster::GaussianMixture::fit(&points, k, 20, &mut rng, &rgae_obs::NOOP).expect("k <= n")
         };
         let reference = rgae_par::with_threads(1, run);
         for t in &THREADS[1..] {

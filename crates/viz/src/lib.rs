@@ -1,4 +1,4 @@
-//! Figure tooling: exact t-SNE and PCA projections, terminal (ASCII)
+//! Figure tooling: exact t-SNE projections, terminal (ASCII)
 //! scatter/line plots, and CSV series writers.
 //!
 //! The paper's figures are 2-D t-SNE panels (Fig. 10) and training curves
@@ -12,12 +12,10 @@
 
 mod ascii;
 mod csv;
-mod pca;
 mod tsne;
 
 pub use ascii::{ascii_lines, ascii_scatter};
 pub use csv::CsvWriter;
-pub use pca::pca_2d;
 pub use tsne::{tsne, TsneConfig};
 
 /// Errors from figure generation.

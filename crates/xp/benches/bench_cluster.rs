@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rgae_cluster::{accuracy, ari, hungarian, kmeans, nmi, GaussianMixture};
 use rgae_linalg::{Mat, Rng64};
+use rgae_obs::NOOP;
 
 fn blobs(n_per: usize, k: usize, rng: &mut Rng64) -> (Mat, Vec<usize>) {
     let mut rows = Vec::new();
@@ -31,7 +32,7 @@ fn bench_kmeans(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n_per * 7), &n_per, |b, _| {
             b.iter(|| {
                 let mut r = Rng64::seed_from_u64(2);
-                kmeans(std::hint::black_box(&x), 7, 50, &mut r)
+                kmeans(std::hint::black_box(&x), 7, 50, &mut r, &NOOP)
                     .unwrap()
                     .inertia
             })
@@ -48,7 +49,7 @@ fn bench_gmm(c: &mut Criterion) {
     group.bench_function("fit_500x16_k5", |b| {
         b.iter(|| {
             let mut r = Rng64::seed_from_u64(4);
-            GaussianMixture::fit(std::hint::black_box(&x), 5, 30, &mut r)
+            GaussianMixture::fit(std::hint::black_box(&x), 5, 30, &mut r, &NOOP)
                 .unwrap()
                 .avg_log_likelihood
         })

@@ -49,7 +49,7 @@ fn bench_r_step(c: &mut Criterion) {
     group.bench_function("dgae_r_epoch_with_operator_refresh", |b| {
         b.iter(|| {
             // Worst case: both operators refresh on this epoch.
-            let p = soft_assignments_or_kmeans(&model, &data, &mut rng).unwrap();
+            let p = soft_assignments_or_kmeans(&model, &data, &mut rng, &rgae_obs::NOOP).unwrap();
             let omega = xi(&p, &XiConfig::new(0.3)).unwrap();
             let z = model.embed(&data);
             let out = upsilon(

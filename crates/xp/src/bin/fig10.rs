@@ -49,7 +49,7 @@ fn main() {
     let trace = opts.recorder();
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale().min(0.25), opts.seed);
+    let graph = dataset.build(opts.scale.min(0.25), opts.seed);
     let snaps: Vec<usize> = if opts.quick {
         vec![0, 20, 40]
     } else {

@@ -14,7 +14,7 @@ fn main() {
     let trace = opts.recorder();
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
+    let graph = dataset.build(opts.scale, opts.seed);
     let gammas: Vec<f64> = if opts.quick {
         vec![0.001, 0.1, 1.0]
     } else {

@@ -5,15 +5,19 @@
 
 use rgae_graph::GraphStats;
 use rgae_viz::CsvWriter;
-use rgae_xp::{print_table, rconfig_for_opts, run_r, DatasetKind, HarnessOpts, ModelKind};
+use rgae_xp::{
+    print_table, rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind,
+    SweepVariant,
+};
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let trace = opts.recorder();
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let mut cfg = rconfig_for_opts(ModelKind::GmmVgae, dataset, &opts);
+    let graph = dataset.build(opts.scale, opts.seed);
+    let model = ModelKind::GmmVgae;
+    let mut cfg = rconfig_for_opts(model, dataset, &opts);
     let snaps: Vec<usize> = if opts.quick {
         vec![0, 20, 40]
     } else {
@@ -23,7 +27,8 @@ fn main() {
     cfg.max_epochs = cfg.max_epochs.max(snaps.last().unwrap() + 1);
     cfg.min_epochs = cfg.max_epochs;
 
-    let report = run_r(&opts, rec, ModelKind::GmmVgae, dataset, &graph, cfg);
+    let arm = vec![SweepVariant::r("", cfg.clone())];
+    let report = sweep_variants(&opts, rec, model, dataset, &graph, &cfg, opts.seed, arm).remove(0);
 
     let mut rows = Vec::new();
     let mut csv = CsvWriter::create(

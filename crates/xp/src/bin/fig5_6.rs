@@ -46,7 +46,7 @@ fn main() {
     let trace = opts.recorder();
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
+    let graph = dataset.build(opts.scale, opts.seed);
     let mut cfg = rconfig_for_opts(ModelKind::GmmVgae, dataset, &opts);
     cfg.track_diagnostics = true;
     cfg.eval_every = 1;

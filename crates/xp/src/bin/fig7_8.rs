@@ -4,9 +4,7 @@
 //! *and* the corrupted dataset in every comparison.
 
 use rgae_core::{Metrics, RConfig};
-use rgae_datasets::{
-    add_feature_noise, add_random_edges_traced, drop_feature_columns, drop_random_edges,
-};
+use rgae_datasets::{add_feature_noise, add_random_edges, drop_feature_columns, drop_random_edges};
 use rgae_graph::AttributedGraph;
 use rgae_linalg::Rng64;
 use rgae_obs::Recorder;
@@ -43,7 +41,7 @@ fn main() {
     let trace = opts.recorder();
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
-    let clean = dataset.build(opts.dataset_scale(), opts.seed);
+    let clean = dataset.build(opts.scale, opts.seed);
     let cfg = rconfig_for_opts(ModelKind::Dgae, dataset, &opts);
     let e = clean.num_edges();
 
@@ -114,7 +112,7 @@ fn main() {
         &added_edges.iter().map(|&x| x as f64).collect::<Vec<_>>(),
         &|lvl, rng| {
             let requested = lvl as usize;
-            let (g, added) = add_random_edges_traced(&clean, requested, rng, rec).unwrap();
+            let (g, added) = add_random_edges(&clean, requested, rng, rec).unwrap();
             if added < requested {
                 eprintln!("  warning: add_edges delivered {added}/{requested} edges");
             }

@@ -4,19 +4,23 @@
 //! links.
 
 use rgae_viz::{ascii_lines, CsvWriter};
-use rgae_xp::{rconfig_for_opts, run_r, DatasetKind, HarnessOpts, ModelKind};
+use rgae_xp::{
+    rconfig_for_opts, sweep_variants, DatasetKind, HarnessOpts, ModelKind, SweepVariant,
+};
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let trace = opts.recorder();
     let rec = trace.as_ref();
     let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
-    let mut cfg = rconfig_for_opts(ModelKind::GmmVgae, dataset, &opts);
+    let graph = dataset.build(opts.scale, opts.seed);
+    let model = ModelKind::GmmVgae;
+    let mut cfg = rconfig_for_opts(model, dataset, &opts);
     cfg.eval_every = 1;
     cfg.min_epochs = cfg.max_epochs; // full trace
 
-    let report = run_r(&opts, rec, ModelKind::GmmVgae, dataset, &graph, cfg);
+    let arm = vec![SweepVariant::r("", cfg.clone())];
+    let report = sweep_variants(&opts, rec, model, dataset, &graph, &cfg, opts.seed, arm).remove(0);
 
     let mut csv = CsvWriter::create(
         opts.out_dir.join("fig9.csv"),

@@ -49,7 +49,7 @@ fn main() {
         if !opts.wants(dataset) {
             continue;
         }
-        let graph = dataset.build(opts.dataset_scale(), opts.seed);
+        let graph = dataset.build(opts.scale, opts.seed);
         let truth = graph.labels();
         eprintln!("[table17] {}", dataset.name());
         let mut emit = |method: &str, m: Metrics, rows: &mut Vec<Vec<String>>| {

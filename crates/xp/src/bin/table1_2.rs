@@ -14,7 +14,7 @@ fn main() {
         "table1_2",
         DatasetKind::citation(),
         &ModelKind::all(),
-        opts.dataset_scale(),
+        opts.scale,
         [
             "Table 1: best clustering performance (citation-like)",
             "Table 2: mean ± std over trials (citation-like)",

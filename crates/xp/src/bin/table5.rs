@@ -29,7 +29,7 @@ fn main() {
         if !opts.wants(dataset) {
             continue;
         }
-        let graph = dataset.build(opts.dataset_scale(), opts.seed);
+        let graph = dataset.build(opts.scale, opts.seed);
         for model in ModelKind::second_group() {
             let cfg = rconfig_for_opts(model, dataset, &opts);
             let mut plain_t = Vec::new();

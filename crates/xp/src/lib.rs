@@ -157,11 +157,6 @@ impl HarnessOpts {
         Some(g)
     }
 
-    /// Effective dataset scale.
-    pub fn dataset_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Whether this dataset should run under the `--dataset` filter.
     pub fn wants(&self, dataset: DatasetKind) -> bool {
         self.only_dataset
@@ -439,37 +434,6 @@ pub fn rconfig_for_opts(model: ModelKind, dataset: DatasetKind, opts: &HarnessOp
     cfg
 }
 
-/// One full R run of `model` on `graph`, pretraining included, with the
-/// model and its RNG seeded by `--seed` (Figs. 4 and 9). It is logged as run
-/// `r` and, with `--checkpoint-dir`, checkpointed under the `r` key.
-pub fn run_r(
-    opts: &HarnessOpts,
-    rec: &dyn Recorder,
-    model: ModelKind,
-    dataset: DatasetKind,
-    graph: &AttributedGraph,
-    cfg: RConfig,
-) -> RReport {
-    let binary = bin_name();
-    let data = TrainData::from_graph(graph);
-    let mut rng = Rng64::seed_from_u64(opts.seed);
-    let mut m = model.build(data.num_features(), graph.num_classes(), &mut rng);
-    emit_run_start(
-        rec,
-        &binary,
-        model.name(),
-        dataset.name(),
-        "r",
-        opts.seed,
-        &cfg,
-    );
-    let mut trainer = RTrainer::with_recorder(cfg, rec);
-    if let Some(ckpt) = opts.ckpt_for(&binary, dataset.name(), model.name(), "r", opts.seed) {
-        trainer = trainer.with_checkpoints(ckpt);
-    }
-    trainer.train(m.as_mut(), graph, &mut rng).unwrap()
-}
-
 /// One arm of a shared-pretrain sweep (see [`sweep_variants`]).
 pub struct SweepVariant {
     /// Which model the arm trains.
@@ -518,9 +482,9 @@ impl SweepVariant {
     }
 }
 
-/// The plain-vs-R protocol of every table and figure that compares arms
-/// (Tables 1–9 and 17, Figs. 5–8 and 10–13): pretrain `model` once, then run
-/// every arm, in the given order, from that one pretrained model.
+/// The training protocol of every table and figure (Tables 1–9 and 17,
+/// Figs. 4–13; Figs. 4 and 9 run a single R arm): pretrain `model` once,
+/// then run every arm, in the given order, from that one pretrained model.
 ///
 /// RNG protocol: the model is built from `Rng64::seed_from_u64(seed)`, and
 /// pretraining plus head initialisation consume a second stream,
@@ -622,7 +586,7 @@ pub fn cora_r_sweep(
 ) -> Vec<(ModelKind, Vec<Metrics>)> {
     let trace = opts.recorder();
     let dataset = DatasetKind::CoraLike;
-    let graph = dataset.build(opts.dataset_scale(), opts.seed);
+    let graph = dataset.build(opts.scale, opts.seed);
     let header: Vec<&str> = ["model"]
         .into_iter()
         .chain(key_headers.iter().copied())

@@ -2,9 +2,10 @@
 //! the "shape" assertions EXPERIMENTS.md reports at full scale; here they
 //! run in seconds as regression guards.
 
-use rgae_core::{train_plain, FdMode, RTrainer};
+use rgae_core::{train_plain_ckpt, FdMode, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::TrainData;
+use rgae_obs::NOOP;
 use rgae_xp::{rconfig_for, DatasetKind, ModelKind};
 
 fn setup_at(
@@ -64,7 +65,8 @@ fn claim_r_variant_not_worse() {
             let mut cfg_p = cfg.clone();
             cfg_p.pretrain_epochs = 0;
             let mut rng_p = Rng64::seed_from_u64(1);
-            let p = train_plain(plain.as_mut(), &graph, &cfg_p, &mut rng_p).unwrap();
+            let p =
+                train_plain_ckpt(plain.as_mut(), &graph, &cfg_p, &mut rng_p, &NOOP, None).unwrap();
             let mut r_model = base;
             let mut rng_r = Rng64::seed_from_u64(1);
             let r = RTrainer::new(cfg)
@@ -270,7 +272,7 @@ fn claim_r_overhead_is_bounded() {
     let mut cfg_p = cfg.clone();
     cfg_p.pretrain_epochs = 0;
     let mut rng_p = Rng64::seed_from_u64(7);
-    let p = train_plain(plain.as_mut(), &graph, &cfg_p, &mut rng_p).unwrap();
+    let p = train_plain_ckpt(plain.as_mut(), &graph, &cfg_p, &mut rng_p, &NOOP, None).unwrap();
     let mut r_model = base;
     let mut rng_r = Rng64::seed_from_u64(7);
     let r = RTrainer::new(cfg)

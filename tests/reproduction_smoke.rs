@@ -3,7 +3,7 @@
 //! themselves are exercised by `cargo run`; these tests cover the library
 //! plumbing they share.)
 
-use rgae_core::{train_plain, Metrics, RReport, RTrainer};
+use rgae_core::{train_plain_ckpt, Metrics, RReport, RTrainer};
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{daegc_lite_data, spectral_lite};
 use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
@@ -122,7 +122,15 @@ fn fig4_and_fig10_snapshot_pathway() {
     }
     // Plain side too.
     let mut model2 = ModelKind::GmmVgae.build(data.num_features(), graph.num_classes(), &mut rng);
-    let plain = train_plain(model2.as_mut(), &graph, &cfg, &mut rng).unwrap();
+    let plain = train_plain_ckpt(
+        model2.as_mut(),
+        &graph,
+        &cfg,
+        &mut rng,
+        &rgae_obs::NOOP,
+        None,
+    )
+    .unwrap();
     assert_eq!(plain.snapshots.len(), 3);
 }
 

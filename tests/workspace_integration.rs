@@ -6,7 +6,7 @@ use rgae_graph::{edge_homophily, GraphStats};
 use rgae_linalg::Rng64;
 use rgae_models::baselines::{agc_lite, mgae_lite};
 use rgae_models::TrainData;
-use rgae_viz::{pca_2d, tsne, TsneConfig};
+use rgae_viz::{tsne, TsneConfig};
 use rgae_xp::{rconfig_for, sweep_variants, DatasetKind, HarnessOpts, ModelKind, SweepVariant};
 
 #[test]
@@ -28,7 +28,14 @@ fn full_pipeline_on_every_dataset_preset() {
             let loss = model.train_step(&data, &spec, &mut rng).unwrap();
             assert!(loss.is_finite(), "{}", dataset.name());
         }
-        let m = evaluate(model.as_ref(), &data, graph.labels(), &mut rng).unwrap();
+        let m = evaluate(
+            model.as_ref(),
+            &data,
+            graph.labels(),
+            &mut rng,
+            &rgae_obs::NOOP,
+        )
+        .unwrap();
         assert!(m.acc > 0.0 && m.acc <= 1.0);
     }
 }
@@ -125,8 +132,6 @@ fn figure_tooling_consumes_model_embeddings() {
     .unwrap();
     assert_eq!(y.shape(), (graph.num_nodes(), 2));
     assert!(y.all_finite());
-    let y2 = pca_2d(&z, &mut rng).unwrap();
-    assert_eq!(y2.shape(), (graph.num_nodes(), 2));
 }
 
 #[test]
