@@ -12,7 +12,7 @@ use crate::{Error, Result};
 pub struct Var(usize);
 
 /// Everything backward needs to know about how a node was produced.
-enum Op {
+pub(crate) enum Op {
     /// Leaf that accumulates gradient (parameters).
     Leaf,
     /// Leaf that does not track gradient (data).
@@ -57,7 +57,7 @@ enum Op {
     },
     /// Fused `bce_logits_sparse(gram(z), …)`: the scalar loss node, with
     /// the latent gradient `dZ` (at unit upstream gradient) precomputed by
-    /// the tiled forward pass — no N×N logits on the tape.
+    /// the row-streaming forward pass — no N×N logits on the tape.
     GramBceFused {
         z: Var,
         /// `Σ_j (c_ij + c_ji) z_j` with the `norm/N²` scale folded in;
@@ -98,7 +98,7 @@ impl Graph {
         Graph::default()
     }
 
-    fn push(&mut self, value: impl Into<Rc<Mat>>, op: Op, needs_grad: bool) -> Var {
+    pub(crate) fn push(&mut self, value: impl Into<Rc<Mat>>, op: Op, needs_grad: bool) -> Var {
         self.nodes.push(Node {
             value: value.into(),
             op,
@@ -107,7 +107,7 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    fn needs(&self, v: Var) -> bool {
+    pub(crate) fn needs(&self, v: Var) -> bool {
         self.nodes[v.0].needs_grad
     }
 
@@ -157,13 +157,6 @@ impl Graph {
         let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value)?;
         let ng = self.needs(a) || self.needs(b);
         Ok(self.push(v, Op::MatMul(a, b), ng))
-    }
-
-    /// `Z · Zᵀ`, the inner-product decoder logits.
-    pub fn gram(&mut self, z: Var) -> Var {
-        let v = self.nodes[z.0].value.gram();
-        let ng = self.needs(z);
-        self.push(v, Op::Gram(z), ng)
     }
 
     /// `S · X` with a constant sparse `S` (the graph filter Ã).
@@ -299,66 +292,12 @@ impl Graph {
         self.push(v, Op::Sum(a), ng)
     }
 
-    /// The GAE reconstruction loss: weighted binary cross-entropy with
-    /// logits against a constant **sparse binary** target,
-    /// `norm · mean[ pos_weight · t · softplus(−x) + (1 − t) · softplus(x) ]`.
-    ///
-    /// `pos_weight` re-balances the (rare) positive entries exactly like
-    /// TensorFlow's `weighted_cross_entropy_with_logits`, and `norm` is the
-    /// global rescaling the GAE reference implementation applies.
-    pub fn bce_logits_sparse(
-        &mut self,
-        logits: Var,
-        target: &Rc<Csr>,
-        pos_weight: f64,
-        norm: f64,
-    ) -> Result<Var> {
-        let x: &Mat = &self.nodes[logits.0].value;
-        if x.shape() != (target.rows(), target.cols()) {
-            return Err(Error::Invalid("bce_logits_sparse: shape mismatch"));
-        }
-        let (r, c) = x.shape();
-        // Σ over all entries of softplus(x) (the t=0 branch), then correct
-        // the positive entries. Row-parallel with an ordered reduction:
-        // fixed-width row-chunk partials are folded in chunk order, so the
-        // loss bits are independent of the thread count.
-        let tgt: &Csr = target;
-        let total = rgae_par::timed("bce_sparse_fwd", || {
-            rgae_par::par_sum_by(r, |range| {
-                let mut acc = 0.0;
-                for i in range {
-                    let row = x.row(i);
-                    for &v in row {
-                        acc += softplus(v);
-                    }
-                    for (j, t) in tgt.row_iter(i) {
-                        let v = row[j];
-                        // Replace softplus(v) with pos_weight·t·softplus(−v)
-                        // plus (1−t)·softplus(v).
-                        acc += pos_weight * t * softplus(-v) - t * softplus(v);
-                    }
-                }
-                acc
-            })
-        });
-        let denom = (r * c) as f64;
-        let v = Mat::full(1, 1, norm * total / denom);
-        let ng = self.needs(logits);
-        Ok(self.push(
-            v,
-            Op::BceLogitsSparse {
-                logits,
-                target: Rc::clone(target),
-                pos_weight,
-                norm,
-            },
-            ng,
-        ))
-    }
-
-    /// Fused [`Graph::gram`] + [`Graph::bce_logits_sparse`]: the GAE
-    /// reconstruction loss computed directly from the embedding `z` by the
-    /// tiled kernel in `rgae-linalg`, without materialising the N×N
+    /// The GAE reconstruction loss, weighted binary cross-entropy with
+    /// logits of `Z·Zᵀ` against a constant **sparse binary** target,
+    /// `norm · mean[pos_weight · t · softplus(−x) + (1 − t) · softplus(x)]`:
+    /// the fused form of [`crate::reference::gram`] +
+    /// [`crate::reference::bce_logits_sparse`], computed directly from the embedding `z` by the
+    /// row-streaming kernel in `rgae-linalg`, without materialising the N×N
     /// logits. The latent gradient is accumulated in the same pass (at
     /// unit upstream gradient) and rescaled at backward time if the
     /// upstream gradient differs from 1.
@@ -369,9 +308,9 @@ impl Graph {
     /// [`DecoderNumerics::Fast`] stays within the bound documented on
     /// [`rgae_linalg::gram_bce_fused`].
     ///
-    /// Peak decoder memory is O(B·N) for tile width B
-    /// ([`rgae_linalg::set_decoder_tile`]); the
-    /// legacy path stays available as the differential-test reference.
+    /// Decoder scratch is O(threads·N + N·d)
+    /// ([`rgae_linalg::fused_scratch_bytes`]); the legacy path stays
+    /// available in [`crate::reference`] as the differential-test reference.
     pub fn gram_bce_logits_sparse(
         &mut self,
         z: Var,
@@ -536,10 +475,7 @@ impl Graph {
             Op::Gram(z) => {
                 let z = *z;
                 if self.needs(z) {
-                    // dZ = (G + Gᵀ) Z.
-                    let gt = g.transpose();
-                    let sym = g.add(&gt)?;
-                    let dz = sym.matmul(&self.nodes[z.0].value)?;
+                    let dz = crate::reference::gram_backward(g, &self.nodes[z.0].value)?;
                     self.accum(z, dz);
                 }
             }
@@ -714,24 +650,10 @@ impl Graph {
                 let target = Rc::clone(target);
                 if self.needs(logits) {
                     let x = &self.nodes[logits.0].value;
-                    let (r, c) = x.shape();
-                    let gs = g.as_slice()[0] * norm / ((r * c) as f64);
-                    let dx = rgae_par::timed("bce_sparse_bwd", || {
-                        // t = 0 branch everywhere: d softplus(x) = σ(x);
-                        // the dense map runs on the pool.
-                        let mut dx = x.map(|v| gs * sigmoid(v));
-                        // Correct the positive entries:
-                        // d[pw·t·softplus(−x) + (1−t)·softplus(x)]
-                        //   = pw·t·(σ(x) − 1) + (1 − t)·σ(x).
-                        for i in 0..r {
-                            for (j, t) in target.row_iter(i) {
-                                let v = x[(i, j)];
-                                let s = sigmoid(v);
-                                dx[(i, j)] = gs * (pos_weight * t * (s - 1.0) + (1.0 - t) * s);
-                            }
-                        }
-                        dx
-                    });
+                    let upstream = g.as_slice()[0];
+                    let dx = crate::reference::bce_sparse_backward(
+                        x, &target, pos_weight, norm, upstream,
+                    );
                     self.accum(logits, dx);
                 }
             }
@@ -921,7 +843,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.leaf(m(2, 2, &[0.5, -1.0, 2.0, 0.0]));
         let t = Rc::new(Csr::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]).unwrap());
-        let loss = g.bce_logits_sparse(x, &t, 3.0, 0.7).unwrap();
+        let loss = crate::reference::bce_logits_sparse(&mut g, x, &t, 3.0, 0.7).unwrap();
         // Naive: mean over 4 entries of pw·t·sp(−x) + (1−t)·sp(x), × norm.
         let sp = softplus;
         let expect = 0.7 * (3.0 * sp(-0.5) + sp(-1.0) + sp(2.0) + 3.0 * sp(0.0)) / 4.0;
@@ -953,7 +875,7 @@ mod tests {
     fn gram_matches_matmul_transpose_path() {
         let mut g = Graph::new();
         let z = g.leaf(m(3, 2, &[1.0, 0.5, -1.0, 2.0, 0.0, 1.0]));
-        let s = g.gram(z);
+        let s = crate::reference::gram(&mut g, z);
         let expect = g.value(z).matmul(&g.value(z).transpose()).unwrap();
         assert!(g.value(s).max_abs_diff(&expect) < 1e-12);
     }

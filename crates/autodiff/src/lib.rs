@@ -30,6 +30,7 @@
 
 mod graph;
 mod optim;
+pub mod reference;
 
 pub use graph::{Graph, Var};
 pub use optim::{arm_grad_poison, disarm_grad_poison, Adam, AdamState};

@@ -49,8 +49,8 @@ pub fn l_c_dense(z: &Mat, a: &Mat) -> f64 {
 /// The Proposition-1 remainder
 /// `L_R(Z, A^self) = Σ_{ij} [ log(1 + e^{z_iᵀz_j}) − ½ a_ij (‖z_i‖² + ‖z_j‖²) ]`.
 pub fn l_r(z: &Mat, a: &Csr) -> f64 {
-    // Tiled: each gram row is materialised transiently (O(B·N) peak memory
-    // instead of a dense N×N gram) and consumed in the same pass.
+    // Row-streamed: each gram row is materialised transiently (O(N) per
+    // task instead of a dense N×N gram) and consumed in the same pass.
     let sq = z.row_sq_norms();
     gram_row_fold(z, |i, row| {
         let mut acc = 0.0;
@@ -69,7 +69,7 @@ pub fn l_r(z: &Mat, a: &Csr) -> f64 {
 /// un-normalised Proposition-1 form:
 /// `−Σ_{ij} [ a_ij log σ(z_iᵀz_j) + (1 − a_ij) log(1 − σ(z_iᵀz_j)) ]`.
 pub fn l_bce(z: &Mat, a: &Csr) -> f64 {
-    // Tiled like [`l_r`]: no dense N×N gram.
+    // Row-streamed like [`l_r`]: no dense N×N gram.
     gram_row_fold(z, |i, row| {
         // a_ij = 0 branch: −log(1 − σ(x)) = softplus(x).
         let mut acc = 0.0;
@@ -117,8 +117,8 @@ pub fn l_kmeans(z: &Mat, assign: &[usize], k: usize) -> f64 {
 /// `Σ_j (σ(z_iᵀz_j) − a_ij) z_j` (rows of the returned matrix).
 pub fn bce_grad_z(z: &Mat, a: &Csr) -> Mat {
     let n = z.rows();
-    // Tiled gram rows plus a CSR merge walk (instead of per-entry `a.get`
-    // binary searches): O(B·N) memory, one pass, same values.
+    // Streamed gram rows plus a CSR merge walk (instead of per-entry `a.get`
+    // binary searches): O(N) memory per task, one pass, same values.
     gram_row_map(z, z.cols(), |i, row, out| {
         let mut nz = a.row_iter(i).peekable();
         for j in 0..n {

@@ -101,11 +101,10 @@ pub struct RConfig {
     /// effect for later runs whose config says `None`. Results are
     /// bit-identical at any setting — this knob trades wall time only.
     pub threads: Option<usize>,
-    /// Row-tile height for the fused gram+BCE decoder kernel. `None` keeps
-    /// the process setting (by default [`rgae_linalg::DEFAULT_DECODER_TILE`]).
-    /// A `Some` value is applied process-wide when a run starts and stays in
-    /// effect for later runs whose config says `None`. Results are bit-identical at any
-    /// setting — the tile bounds peak decoder memory (O(B·N)) only.
+    /// Former row-tile height of the fused gram+BCE decoder. It has no
+    /// effect: the row-streaming decoder holds no tile. The field stays,
+    /// and is still written to the run manifest, only because existing
+    /// configurations pin it.
     pub decoder_tile: Option<usize>,
     /// Numerical-health monitoring + checkpoint-rollback recovery. `None`
     /// (the default) disables the guard layer entirely; with it enabled a
@@ -1520,15 +1519,11 @@ impl<'a> RTrainer<'a> {
     }
 }
 
-/// Apply the run's thread override to the `rgae-par` pool and its decoder
-/// tile override to the fused gram+BCE kernel (no-op when the config leaves
-/// the process defaults in place).
+/// Apply the run's thread override to the `rgae-par` pool (no-op when the
+/// config leaves the process default in place).
 fn apply_thread_config(cfg: &RConfig) {
     if let Some(t) = cfg.threads {
         rgae_par::set_threads(Some(t));
-    }
-    if cfg.decoder_tile.is_some() {
-        rgae_linalg::set_decoder_tile(cfg.decoder_tile);
     }
 }
 

@@ -1,99 +1,103 @@
-//! Tiled, fused Gram + BCE decoder kernels.
+//! Row-streaming, fused Gram + BCE decoder kernels.
 //!
 //! Every GAE variant in this workspace reconstructs the adjacency through
 //! `σ(Z·Zᵀ)`, and the legacy pipeline materialises the full N×N logits
 //! three times per step: once for the Gram forward, once for the BCE
 //! forward scan, and once more for the backward coefficient matrix (plus a
 //! transpose, an add, and an N×N·d matmul for the Gram backward). The
-//! kernels here stream the same computation through row *tiles* of at most
-//! B rows — one B×N panel is the only N-proportional scratch — so peak
-//! decoder memory drops from O(N²) to O(B·N) while the arithmetic stays
-//! bit-for-bit identical to the legacy chain.
+//! kernels here stream the same computation one row at a time: a task fills
+//! row `i`'s N logits into a row buffer, evaluates their transcendentals in
+//! one batch, and folds them into the loss and `dz_i` before it moves on to
+//! row `i + 1`. Decoder scratch is a few row buffers per running task plus
+//! one copy of `Zᵀ` — O(threads·N + N·d) — while the arithmetic stays bit
+//! for bit identical to the legacy chain.
 //!
 //! # Determinism contract
 //!
 //! The loss reduction reuses the [`rgae_par::REDUCE_CHUNK`]-row partial
-//! structure of `par_sum_by`: each 256-row chunk accumulates serially (per
-//! row: every column's softplus in ascending order, then the sparse-target
-//! corrections in CSR order — exactly the legacy `bce_sparse_fwd` order)
-//! and the partials are folded in chunk order. The tile width is forced to
-//! a multiple of `REDUCE_CHUNK`, so the bits are invariant to the tile
-//! size *and* the thread count, in either numerics mode (the fast mode's
-//! batched transcendentals are pure per-element functions).
+//! structure of `par_sum_by`: each 256-row chunk is one task that
+//! accumulates serially (per row: every column's softplus in ascending
+//! order, then the sparse-target corrections in CSR order — exactly the
+//! legacy `bce_sparse_fwd` order), and the partials are folded in chunk
+//! order. Which thread runs a chunk never changes what it computes, so the
+//! bits are invariant to the thread count in either numerics mode (the fast
+//! mode's batched transcendentals are pure per-element functions).
 //!
 //! The gradient rows replicate the legacy `(C + Cᵀ)·Z` element order: for
 //! each row `i` the columns are scanned ascending, the symmetric
 //! coefficient is formed as `c_ij + c_ji` (the same operand order as
 //! `Mat::add` in the legacy Gram backward), exact zeros are skipped like
-//! `Mat::matmul`'s zero fast path, and the inner product over the latent
-//! dimension accumulates ascending. `c_ji` needs the transposed target
-//! row, which is read from a `target.transpose()` built once per call
-//! (O(nnz), negligible next to the N²·d panel work).
+//! `Mat::matmul`'s zero fast path, and each `dz_ik` accumulates over
+//! ascending `j`. `c_ji` needs the transposed target row, which is read
+//! from a `target.transpose()` built once per call (O(nnz)).
 //!
-//! # Symmetry sharing
+//! # Column lanes keep `Mat::gram`'s bits
 //!
-//! `S = Z·Zᵀ` is symmetric, and `s_ij` bit-equals `s_ji` (each product
-//! commutes individually and the ascending-`k` accumulation order is the
-//! same), so `softplus(s)` and `σ(s)` are also bitwise shared across a
-//! symmetric pair. Within each tile's diagonal block the fused kernel
-//! therefore runs two phases: a *fill* phase that evaluates every
-//! unordered pair once (dot + transcendental pair, cached in a `B×B`
-//! side buffer) and a *sweep* phase that reads the panel and the cache
-//! immutably while accumulating the loss and gradient in the legacy
-//! element order. Reusing a bit-identical value cannot change the sums,
-//! so under exact numerics the output is still bit-for-bit the legacy
-//! chain's.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! `Mat::gram` forms `s_ij` with one accumulator that starts at `0.0` and
+//! adds `z_ik·z_jk` for ascending `k`. Vectorising that dot across `k`
+//! (partial sums per lane, folded at the end) would reassociate it and
+//! change the bits. The row fill vectorises across `j` instead: each SIMD
+//! lane owns one column `j` of a [`LANES`]-column block and runs the very
+//! same ascending-`k` chain, reading `Zᵀ` (built once per call, blocked so a
+//! block's `d × LANES` values are contiguous). Every operation is a plain
+//! multiply followed by a plain add — Rust never contracts them into a
+//! fused multiply-add — so each lane rounds exactly like `Mat::gram`'s
+//! scalar loop. The gradient does the same with the roles swapped: each
+//! lane owns one latent dimension `k` and accumulates `c·z_jk` over
+//! ascending `j`, in registers.
+//!
+//! # SIMD entries
+//!
+//! The per-chunk body is written once, portably, and compiled again under
+//! `#[target_feature(enable = "avx2")]` and `"avx512f"`, like the batches
+//! in [`crate::numerics`]; [`gram_bce_fused_with`] picks the entry through
+//! a [`SimdLevel`]. The body uses only IEEE add, sub, mul, div, compares
+//! and the libm calls of exact mode, so every entry produces the same bits.
+//! [`gram_bce_fused`] takes the widest entry the CPU has: on a 2-vCPU
+//! AVX-512 box, one serial fast-mode call with gradient at N = 1800,
+//! d = 16 took about 33 ms through AVX-512, 44–48 ms through AVX2 and
+//! 73–86 ms through the portable entry.
 
 use rgae_par::REDUCE_CHUNK;
 
 use crate::numerics::{
-    softplus_fast, softplus_sigmoid_batch, DecoderNumerics, FAST_SIGMOID_REL, FAST_SOFTPLUS_REL,
+    batch_body, softplus_fast, DecoderNumerics, SimdLevel, FAST_SIGMOID_REL, FAST_SOFTPLUS_REL,
 };
 use crate::{sigmoid, softplus, Csr, Error, Mat, Result};
 
-/// Baseline tile rows when no [`set_decoder_tile`] override is set. The
-/// effective default grows with the worker count (see [`decoder_tile`]) so
-/// every pool worker owns at least one reduce chunk per tile.
+/// The former tile height of the panel-based decoder. The row-streaming
+/// kernels hold no B×N panel, so this value has no effect; it stays public
+/// only because existing configurations pin it.
 pub const DEFAULT_DECODER_TILE: usize = 1024;
 
-/// Programmatic override for the tile rows; 0 means "unset".
-static TILE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// No-op, kept for configurations that still pin a tile height: the
+/// row-streaming decoder has no tile, and its memory and results do not
+/// depend on this setting.
+pub fn set_decoder_tile(_rows: Option<usize>) {}
 
-/// Override the decoder tile rows (`None` restores the default). Values are rounded up to a multiple of
-/// [`rgae_par::REDUCE_CHUNK`]; the setting trades memory against
-/// parallelism only — results are bit-identical at any tile size.
-pub fn set_decoder_tile(rows: Option<usize>) {
-    TILE_OVERRIDE.store(rows.unwrap_or(0), Ordering::Relaxed);
+/// Columns per block of the row fill: each block runs `LANES` independent
+/// accumulators, enough to cover the FP-add latency at AVX-512 width.
+const LANES: usize = 32;
+
+/// Row buffers each running decoder task allocates (logits, softplus, σ and
+/// gradient coefficients).
+const ROW_BUFFERS: usize = 4;
+
+/// Peak scratch bytes of one [`gram_bce_fused`] call on an `n × d` latent
+/// matrix: four row buffers (logits, softplus, σ, coefficients) for each
+/// concurrently running task (at most one task per thread) plus the
+/// blocked copy of `Zᵀ`: O(threads·N + N·d), where the legacy path peaks
+/// at several dense N×N matrices. The `n × d` gradient is output, not
+/// scratch.
+pub fn fused_scratch_bytes(n: usize, d: usize) -> usize {
+    let stride = padded(n);
+    let tasks = rgae_par::threads().min(n.div_ceil(REDUCE_CHUNK));
+    (tasks * ROW_BUFFERS * stride + stride * d) * std::mem::size_of::<f64>()
 }
 
-/// The configured decoder tile rows: the [`set_decoder_tile`] override if
-/// set, else `max(DEFAULT_DECODER_TILE, REDUCE_CHUNK · threads)` — always
-/// rounded up to a `REDUCE_CHUNK` multiple so tile boundaries coincide with
-/// reduction-chunk boundaries.
-pub fn decoder_tile() -> usize {
-    let configured = match TILE_OVERRIDE.load(Ordering::Relaxed) {
-        0 => DEFAULT_DECODER_TILE.max(REDUCE_CHUNK * rgae_par::threads()),
-        v => v,
-    };
-    configured.div_ceil(REDUCE_CHUNK) * REDUCE_CHUNK
-}
-
-/// Tile rows actually used for an `n`-row decoder (the configured tile,
-/// clamped to the row count rounded up to a chunk boundary).
-fn effective_tile(n: usize) -> usize {
-    decoder_tile().min(n.div_ceil(REDUCE_CHUNK).max(1) * REDUCE_CHUNK)
-}
-
-/// Peak scratch bytes the fused decoder allocates for an `n`-row graph:
-/// one `B×N` `f64` panel plus the `2·B²` diagonal-block transcendental
-/// cache (`B ≤ N`, so the total stays `O(B·N)`). Fast numerics add a `2N`
-/// row scratch per running sweep task, not counted here. The legacy path
-/// peaks at several dense `N×N` matrices. Used by the benchmark reports.
-pub fn fused_panel_bytes(n: usize) -> usize {
-    let b = effective_tile(n);
-    (b * n + 2 * b * b) * std::mem::size_of::<f64>()
+/// `n` rounded up to a whole number of [`LANES`]-column blocks.
+fn padded(n: usize) -> usize {
+    n.div_ceil(LANES) * LANES
 }
 
 /// Result of [`gram_bce_fused`].
@@ -108,124 +112,86 @@ pub struct FusedGramBce {
     pub dz: Option<Mat>,
 }
 
-/// One dot product in the exact element order of `Mat::gram`'s inner loop.
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x * y;
-    }
-    acc
+/// The rows of the virtual Gram matrix `S = Z·Zᵀ`, filled one at a time
+/// from a blocked `Zᵀ`: block `b` holds columns `b·LANES .. (b+1)·LANES`
+/// as `d` consecutive runs of `LANES` values (zero past column `n`).
+struct GramRows<'a> {
+    z: &'a Mat,
+    zt: Vec<f64>,
+    level: SimdLevel,
 }
 
-/// Fill columns `j0..j1` of `stripe` (consecutive panel rows for z-rows
-/// starting at `row0`) with `z_i · z_j`. Rows are processed in blocks of
-/// four with independent accumulators: four parallel dependency chains
-/// hide the FP-add latency of the strictly ordered dot, and each `z_j`
-/// row load serves four dots. Every individual accumulator still adds in
-/// `Mat::gram`'s exact element order, so the produced bits are identical
-/// to the one-row [`dot`] loop.
-fn fill_panel_cols(z: &Mat, row0: usize, stripe: &mut [f64], j0: usize, j1: usize) {
-    if j0 >= j1 {
+impl<'a> GramRows<'a> {
+    fn new(z: &'a Mat, level: SimdLevel) -> Self {
+        let (n, d) = z.shape();
+        let mut zt = vec![0.0f64; padded(n) * d];
+        for j in 0..n {
+            let block = &mut zt[(j / LANES) * d * LANES..][..d * LANES];
+            for (k, &v) in z.row(j).iter().enumerate() {
+                block[k * LANES + j % LANES] = v;
+            }
+        }
+        GramRows { z, zt, level }
+    }
+
+    /// A zeroed row buffer of the padded width.
+    fn buffer(&self) -> Vec<f64> {
+        vec![0.0; padded(self.z.rows())]
+    }
+
+    /// Fill `buf` with row `i`'s logits and return the `n` real ones.
+    fn fill<'b>(&self, i: usize, buf: &'b mut [f64]) -> &'b [f64] {
+        let zi = self.z.row(i);
+        match self.level {
+            SimdLevel::Portable => fill_row_portable(zi, &self.zt, buf),
+            // SAFETY: `level` passed `is_available` when it was chosen.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => unsafe { fill_row_avx2(zi, &self.zt, buf) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => unsafe { fill_row_avx512(zi, &self.zt, buf) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!(),
+        }
+        &buf[..self.z.rows()]
+    }
+}
+
+/// `s[j] = z_i · z_j` for every column of the blocked `zt`, one column per
+/// lane, each lane accumulating over ascending `k` from `0.0` — exactly
+/// `Mat::gram`'s element order (see the module docs).
+#[inline(always)]
+fn fill_row_body(zi: &[f64], zt: &[f64], s: &mut [f64]) {
+    let d = zi.len();
+    if d == 0 {
+        s.fill(0.0);
         return;
     }
-    let n = z.rows();
-    let nrows = stripe.len() / n;
-    let mut r = 0;
-    while r + 4 <= nrows {
-        let (z0, z1, z2, z3) = (
-            z.row(row0 + r),
-            z.row(row0 + r + 1),
-            z.row(row0 + r + 2),
-            z.row(row0 + r + 3),
-        );
-        let block = &mut stripe[r * n..(r + 4) * n];
-        let (s0, block) = block.split_at_mut(n);
-        let (s1, block) = block.split_at_mut(n);
-        let (s2, s3) = block.split_at_mut(n);
-        for j in j0..j1 {
-            let zj = z.row(j);
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for (k, &y) in zj.iter().enumerate() {
-                a0 += z0[k] * y;
-                a1 += z1[k] * y;
-                a2 += z2[k] * y;
-                a3 += z3[k] * y;
+    for (out, block) in s.chunks_exact_mut(LANES).zip(zt.chunks_exact(d * LANES)) {
+        let mut acc = [0.0f64; LANES];
+        for (&x, col) in zi.iter().zip(block.chunks_exact(LANES)) {
+            for l in 0..LANES {
+                acc[l] += x * col[l];
             }
-            s0[j] = a0;
-            s1[j] = a1;
-            s2[j] = a2;
-            s3[j] = a3;
         }
-        r += 4;
-    }
-    for r in r..nrows {
-        let zi = z.row(row0 + r);
-        let row = &mut stripe[r * n..(r + 1) * n];
-        for j in j0..j1 {
-            row[j] = dot(zi, z.row(j));
-        }
+        out.copy_from_slice(&acc);
     }
 }
 
-/// Full-width panel fill (every column), used by the row-streaming helpers.
-fn fill_panel(z: &Mat, row0: usize, stripe: &mut [f64]) {
-    fill_panel_cols(z, row0, stripe, 0, z.rows());
+fn fill_row_portable(zi: &[f64], zt: &[f64], s: &mut [f64]) {
+    fill_row_body(zi, zt, s);
 }
 
-/// Fill the upper part of row `i`'s tile-diagonal block: dots `z_i · z_j`
-/// for `j ∈ [i, t1)` into `s_row`, and the matching transcendental pair
-/// into the row's slice of the diagonal cache: `drow` holds the row's
-/// softplus slots followed by its σ slots, both indexed by `j − t0`.
-/// Because `s_ij` bit-equals `s_ji` (each product commutes, the ascending
-/// `k` order is shared), these cached values serve *both* rows of every
-/// symmetric pair: the lower half is read from the mirrored slot instead
-/// of being recomputed, halving the diagonal block's dot + exp work.
-///
-/// Columns are processed four at a time with independent accumulators
-/// (same ILP rationale as [`fill_panel_cols`]); each accumulator keeps the
-/// exact `Mat::gram` element order, so the bits are unchanged.
-fn fill_diag_row(
-    z: &Mat,
-    i: usize,
-    t0: usize,
-    t1: usize,
-    s_row: &mut [f64],
-    drow: &mut [f64],
-    numerics: DecoderNumerics,
-) {
-    let zi = z.row(i);
-    let mut j = i;
-    while j + 4 <= t1 {
-        let (b0, b1, b2, b3) = (z.row(j), z.row(j + 1), z.row(j + 2), z.row(j + 3));
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (k, &x) in zi.iter().enumerate() {
-            a0 += x * b0[k];
-            a1 += x * b1[k];
-            a2 += x * b2[k];
-            a3 += x * b3[k];
-        }
-        s_row[j] = a0;
-        s_row[j + 1] = a1;
-        s_row[j + 2] = a2;
-        s_row[j + 3] = a3;
-        j += 4;
-    }
-    while j < t1 {
-        s_row[j] = dot(zi, z.row(j));
-        j += 1;
-    }
-    let (dsp, dsig) = drow.split_at_mut(t1 - t0);
-    let (dsp, dsig) = (&mut dsp[i - t0..], &mut dsig[i - t0..]);
-    let s = &s_row[i..t1];
-    match numerics {
-        DecoderNumerics::Fast => softplus_sigmoid_batch(s, dsp, dsig),
-        DecoderNumerics::Exact => {
-            for ((&s, sp), sig) in s.iter().zip(dsp.iter_mut()).zip(dsig.iter_mut()) {
-                (*sp, *sig) = softplus_sigmoid(s);
-            }
-        }
-    }
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_row_avx2(zi: &[f64], zt: &[f64], s: &mut [f64]) {
+    fill_row_body(zi, zt, s);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fill_row_avx512(zi: &[f64], zt: &[f64], s: &mut [f64]) {
+    fill_row_body(zi, zt, s);
 }
 
 /// `softplus(x)` and `σ(x)` together, sharing the `exp` where the two
@@ -243,10 +209,236 @@ fn softplus_sigmoid(x: f64) -> (f64, f64) {
     }
 }
 
-/// Fused, tiled weighted-BCE-over-Gram forward (+ optional backward):
-/// computes `norm · mean[pos_weight · t · softplus(−z_iᵀz_j) + (1 − t) ·
-/// softplus(z_iᵀz_j)]` and, when `grad_scale = Some(gs)`, the latent
-/// gradient rows `dZ_i = Σ_j (c_ij + c_ji) z_j` with
+/// The read-only inputs of one [`gram_bce_fused`] call.
+struct Fused<'a> {
+    rows: GramRows<'a>,
+    target: &'a Csr,
+    /// The transposed target (row `i` holds the `t_ji`), present with a
+    /// gradient.
+    tt: Option<Csr>,
+    pos_weight: f64,
+    grad_scale: Option<f64>,
+    numerics: DecoderNumerics,
+}
+
+/// One task's row buffers: logits, softplus, σ, and gradient coefficients.
+struct RowScratch {
+    s: Vec<f64>,
+    sp: Vec<f64>,
+    sig: Vec<f64>,
+    coeff: Vec<f64>,
+}
+
+impl RowScratch {
+    fn new(n: usize, grad: bool) -> Self {
+        RowScratch {
+            s: vec![0.0; padded(n)],
+            sp: vec![0.0; n],
+            sig: vec![0.0; n],
+            coeff: vec![0.0; if grad { n } else { 0 }],
+        }
+    }
+}
+
+/// `gs·(pos_weight·t·(σ − 1) + (1 − t)·σ)` for a target entry `t`, `gs·σ`
+/// without one — the legacy `bce_sparse_bwd` coefficient.
+#[inline(always)]
+fn coeff_at(t: Option<f64>, sig: f64, gs: f64, pos_weight: f64) -> f64 {
+    match t {
+        Some(t) => gs * (pos_weight * t * (sig - 1.0) + (1.0 - t) * sig),
+        None => gs * sig,
+    }
+}
+
+/// Accumulate `dz[k0..k0 + W] = Σ_j coeff[j]·z_j[k0..k0 + W]` over
+/// ascending `j` in `W` register lanes, skipping exact-zero coefficients
+/// like `Mat::matmul`, and return `W`. The same walk adds every `sp[j]` to
+/// `loss` (in ascending `j`, before the skip), so the loss chain overlaps
+/// the gradient chains.
+#[inline(always)]
+fn grad_lanes<const W: usize>(
+    coeff: &[f64],
+    sp: &[f64],
+    z: &[f64],
+    k0: usize,
+    loss: &mut f64,
+    dz: &mut [f64],
+) -> usize {
+    let d = dz.len();
+    let mut acc = [0.0f64; W];
+    let mut l_acc = *loss;
+    for (j, (&c, zj)) in coeff.iter().zip(z.chunks_exact(d)).enumerate() {
+        l_acc += sp[j];
+        if c == 0.0 {
+            continue;
+        }
+        let zj = &zj[k0..k0 + W];
+        for l in 0..W {
+            acc[l] += c * zj[l];
+        }
+    }
+    *loss = l_acc;
+    dz[k0..k0 + W].copy_from_slice(&acc);
+    W
+}
+
+/// One reduce chunk: rows `row0 .. row0 + nrows`, each filled, evaluated
+/// and folded in turn. Returns the chunk's loss partial, one running sum
+/// over all its rows (regrouping it per row would change the addition
+/// tree); writes `dz` (the chunk's `nrows × d` gradient rows) when the call
+/// has a gradient.
+#[inline(always)]
+fn chunk_body(
+    k: &Fused,
+    row0: usize,
+    nrows: usize,
+    mut dz: Option<&mut [f64]>,
+    buf: &mut RowScratch,
+) -> f64 {
+    let z = k.rows.z;
+    let (n, d) = z.shape();
+    let zs = z.as_slice();
+    let fast = k.numerics == DecoderNumerics::Fast;
+    let mut acc = 0.0;
+    for r in 0..nrows {
+        let i = row0 + r;
+        fill_row_body(z.row(i), &k.rows.zt, &mut buf.s);
+        let s = &buf.s[..n];
+        let (sp, sig) = (&mut buf.sp[..], &mut buf.sig[..]);
+        let dz_row = dz.as_deref_mut().map(|m| &mut m[r * d..(r + 1) * d]);
+        match (fast, dz_row.is_some()) {
+            (true, _) => batch_body(s, sp, sig),
+            (false, true) => {
+                for j in 0..n {
+                    (sp[j], sig[j]) = softplus_sigmoid(s[j]);
+                }
+            }
+            (false, false) => {
+                for j in 0..n {
+                    sp[j] = softplus(s[j]);
+                }
+            }
+        }
+        let (t_cols, t_vals) = (k.target.row_indices(i), k.target.row_values(i));
+        match (dz_row, k.grad_scale, k.tt.as_ref()) {
+            (Some(dz_row), Some(gs), Some(tt)) => {
+                // Coefficients `c_ij + c_ji`: `gs·σ + gs·σ` off the target,
+                // then the columns of the row's target and transposed-target
+                // entries, merged in ascending order.
+                let (sig, coeff) = (&buf.sig[..], &mut buf.coeff[..]);
+                for j in 0..n {
+                    coeff[j] = gs * sig[j] + gs * sig[j];
+                }
+                let (u_cols, u_vals) = (tt.row_indices(i), tt.row_values(i));
+                let (mut a, mut b) = (0usize, 0usize);
+                while a < t_cols.len() || b < u_cols.len() {
+                    let ja = t_cols.get(a).copied().unwrap_or(usize::MAX);
+                    let jb = u_cols.get(b).copied().unwrap_or(usize::MAX);
+                    let j = ja.min(jb);
+                    let t_ij = (ja == j).then(|| {
+                        a += 1;
+                        t_vals[a - 1]
+                    });
+                    let t_ji = (jb == j).then(|| {
+                        b += 1;
+                        u_vals[b - 1]
+                    });
+                    coeff[j] = coeff_at(t_ij, sig[j], gs, k.pos_weight)
+                        + coeff_at(t_ji, sig[j], gs, k.pos_weight);
+                }
+                // One j-walk per group of latent lanes (16, then 8, then
+                // one at a time); only the first feeds the loss chain.
+                let sp = &buf.sp[..];
+                let mut k0 = 0;
+                while k0 < d {
+                    let mut spare = 0.0;
+                    let loss = if k0 == 0 { &mut acc } else { &mut spare };
+                    k0 += match d - k0 {
+                        16.. => grad_lanes::<16>(coeff, sp, zs, k0, loss, dz_row),
+                        8.. => grad_lanes::<8>(coeff, sp, zs, k0, loss, dz_row),
+                        _ => grad_lanes::<1>(coeff, sp, zs, k0, loss, dz_row),
+                    };
+                }
+            }
+            _ => {
+                for &v in &buf.sp[..] {
+                    acc += v;
+                }
+            }
+        }
+        // Positive-entry corrections, in CSR order — the legacy forward's
+        // second per-row loop.
+        for (&j, &t) in t_cols.iter().zip(t_vals) {
+            let v = s[j];
+            acc += if fast {
+                k.pos_weight * t * softplus_fast(-v) - t * softplus_fast(v)
+            } else {
+                k.pos_weight * t * softplus(-v) - t * softplus(v)
+            };
+        }
+    }
+    acc
+}
+
+fn chunk_portable(
+    k: &Fused,
+    row0: usize,
+    nrows: usize,
+    dz: Option<&mut [f64]>,
+    buf: &mut RowScratch,
+) -> f64 {
+    chunk_body(k, row0, nrows, dz, buf)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn chunk_avx2(
+    k: &Fused,
+    row0: usize,
+    nrows: usize,
+    dz: Option<&mut [f64]>,
+    buf: &mut RowScratch,
+) -> f64 {
+    chunk_body(k, row0, nrows, dz, buf)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn chunk_avx512(
+    k: &Fused,
+    row0: usize,
+    nrows: usize,
+    dz: Option<&mut [f64]>,
+    buf: &mut RowScratch,
+) -> f64 {
+    chunk_body(k, row0, nrows, dz, buf)
+}
+
+impl Fused<'_> {
+    /// Run one reduce chunk through the call's SIMD entry.
+    fn chunk(&self, ci: usize, dz: Option<&mut [f64]>) -> f64 {
+        let n = self.rows.z.rows();
+        let row0 = ci * REDUCE_CHUNK;
+        let nrows = REDUCE_CHUNK.min(n - row0);
+        let mut buf = RowScratch::new(n, dz.is_some());
+        match self.rows.level {
+            SimdLevel::Portable => chunk_portable(self, row0, nrows, dz, &mut buf),
+            // SAFETY: `level` passed `is_available` in `gram_bce_fused_with`.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => unsafe { chunk_avx2(self, row0, nrows, dz, &mut buf) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => unsafe { chunk_avx512(self, row0, nrows, dz, &mut buf) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!(),
+        }
+    }
+}
+
+/// Fused, row-streaming weighted-BCE-over-Gram forward (+ optional
+/// backward): computes `norm · mean[pos_weight · t · softplus(−z_iᵀz_j) +
+/// (1 − t) · softplus(z_iᵀz_j)]` and, when `grad_scale = Some(gs)`, the
+/// latent gradient rows `dZ_i = Σ_j (c_ij + c_ji) z_j` with
 /// `c_ij = gs · (pos_weight · t_ij · (σ_ij − 1) + (1 − t_ij) · σ_ij)`,
 /// without materialising the N×N logits. For the legacy-equivalent
 /// gradient pass `gs = norm / N²` (the unit upstream gradient folded in).
@@ -254,10 +446,11 @@ fn softplus_sigmoid(x: f64) -> (f64, f64) {
 /// `numerics` picks how softplus and σ are evaluated (see
 /// [`crate::numerics`]). Under [`DecoderNumerics::Exact`] the loss and dZ
 /// are bit-identical to the legacy chain. Under [`DecoderNumerics::Fast`]
-/// each sweep task evaluates a row's off-block transcendentals in one
-/// batch into a `2N` scratch; the dot order, tiling, symmetry sharing and
-/// reduction order are the same in both modes, so both are invariant to
-/// the tile size and the thread count.
+/// each row's transcendentals are one batch; the logits, the reduction
+/// order and the gradient order are the same in both modes, so both are
+/// invariant to the thread count and the SIMD entry. Runs through the
+/// widest entry this CPU has ([`SimdLevel::detected`]);
+/// [`gram_bce_fused_with`] picks one.
 ///
 /// # Fast-vs-exact bound
 ///
@@ -287,8 +480,32 @@ pub fn gram_bce_fused(
     grad_scale: Option<f64>,
     numerics: DecoderNumerics,
 ) -> Result<FusedGramBce> {
-    let n = z.rows();
-    let d = z.cols();
+    gram_bce_fused_with(
+        SimdLevel::detected(),
+        z,
+        target,
+        pos_weight,
+        norm,
+        grad_scale,
+        numerics,
+    )
+}
+
+/// [`gram_bce_fused`] through a chosen SIMD entry. Every entry gives the
+/// same bits.
+///
+/// # Panics
+/// If the CPU cannot run `level`.
+pub fn gram_bce_fused_with(
+    level: SimdLevel,
+    z: &Mat,
+    target: &Csr,
+    pos_weight: f64,
+    norm: f64,
+    grad_scale: Option<f64>,
+    numerics: DecoderNumerics,
+) -> Result<FusedGramBce> {
+    let (n, d) = z.shape();
     if target.rows() != n || target.cols() != n {
         return Err(Error::ShapeMismatch {
             op: "gram_bce_fused",
@@ -296,183 +513,36 @@ pub fn gram_bce_fused(
             rhs: (target.rows(), target.cols()),
         });
     }
+    assert!(
+        level.is_available(),
+        "{level:?} is not available on this CPU"
+    );
     let denom = (n * n) as f64;
-    let fast = numerics == DecoderNumerics::Fast;
-    let softplus_of: fn(f64) -> f64 = if fast { softplus_fast } else { softplus };
     rgae_par::timed("fused_gram_bce_fwd_bwd", || {
-        // Transposed target: row i holds the t_ji needed for c_ji.
-        let tt = grad_scale.map(|_| target.transpose());
-        let tile = effective_tile(n);
-        let n_chunks = n.div_ceil(REDUCE_CHUNK);
-        let mut partials = vec![0.0f64; n_chunks];
+        let kernel = Fused {
+            rows: GramRows::new(z, level),
+            target,
+            tt: grad_scale.map(|_| target.transpose()),
+            pos_weight,
+            grad_scale,
+            numerics,
+        };
+        let mut partials = vec![0.0f64; n.div_ceil(REDUCE_CHUNK)];
         let mut dz = grad_scale.map(|_| Mat::zeros(n, d));
-        let mut panel = vec![0.0f64; tile * n];
-        // (softplus, σ) pairs for the tile's diagonal block. `s_ij` bit-
-        // equals `s_ji`, so each unordered pair {i, j} inside the block is
-        // evaluated exactly once (by the row with the smaller index) and
-        // both rows read the shared slot — the diagonal block costs half
-        // its dots and half its exp calls.
-        let mut diag = vec![0.0f64; tile * tile * 2];
-
-        for tile_start in (0..n).step_by(tile) {
-            let t0 = tile_start;
-            let tw = tile.min(n - t0);
-            let t1 = t0 + tw;
-            let panel_slice = &mut panel[..tw * n];
-            let diag_slice = &mut diag[..tw * tw * 2];
-
-            // Phase 1 — fill. Each chunk owns its panel rows and the
-            // matching diagonal-cache rows: off-block columns get plain
-            // dots, in-block columns j ≥ i get the dot plus its cached
-            // transcendental pair. Nothing is read across chunks.
-            rgae_par::par_zip_chunks_mut(
-                panel_slice,
-                REDUCE_CHUNK * n,
-                diag_slice,
-                REDUCE_CHUNK * tw * 2,
-                |ci, stripe, dstripe| {
-                    let row0 = t0 + ci * REDUCE_CHUNK;
-                    fill_panel_cols(z, row0, stripe, 0, t0);
-                    fill_panel_cols(z, row0, stripe, t1, n);
-                    for r in 0..stripe.len() / n {
-                        let i = row0 + r;
-                        let s_row = &mut stripe[r * n..(r + 1) * n];
-                        let drow = &mut dstripe[r * tw * 2..(r + 1) * tw * 2];
-                        fill_diag_row(z, i, t0, t1, s_row, drow, numerics);
-                    }
-                },
-            );
-
-            // Phase 2 — sweep. The panel and the diagonal cache are now
-            // read-only (shared borrows, no unsafe): each row reads its own
-            // panel row for off-block logits, the mirrored slot
-            // `(min, max)` of the cache for in-block transcendentals, and
-            // the mirrored panel entry `panel[j − t0][i]` for in-block
-            // logits below the diagonal (its own slots there were never
-            // filled). Writes go only to the row's dz slice, the chunk's
-            // loss partial and the task's row scratch.
-            let panel_ref: &[f64] = panel_slice;
-            let diag_ref: &[f64] = diag_slice;
-            // Softplus slot of the unordered pair; its σ sits `tw` later.
-            let pair = move |r2: usize, c2: usize| {
-                let (a, b) = if c2 >= r2 { (r2, c2) } else { (c2, r2) };
-                a * tw * 2 + b
-            };
-            // Fast mode's per-task row scratch: a row's off-block softplus
-            // and σ values, evaluated in two batches before the sweep.
-            let scratch = || vec![0.0f64; if fast { 2 * n } else { 0 }];
-            // `acc` threads through every row of the chunk (not a per-row
-            // subtotal): the legacy chunk partial is one running sum, and
-            // regrouping it per row would change the addition tree.
-            let sweep_row = |i, dz_row: Option<&mut [f64]>, acc: &mut f64, buf: &mut [f64]| {
-                let r2 = i - t0;
-                let s_row = &panel_ref[r2 * n..(r2 + 1) * n];
-                let (sp_row, sig_row) = buf.split_at_mut(buf.len() / 2);
-                if fast {
-                    softplus_sigmoid_batch(&s_row[..t0], &mut sp_row[..t0], &mut sig_row[..t0]);
-                    softplus_sigmoid_batch(&s_row[t1..], &mut sp_row[t1..], &mut sig_row[t1..]);
-                }
-                let (t_cols, t_vals) = (target.row_indices(i), target.row_values(i));
-                if let (Some(dz_row), Some(gs), Some(tt)) = (dz_row, grad_scale, tt.as_ref()) {
-                    // Fused sweep + gradient walk: ascending j, softplus
-                    // into the loss accumulator, then the legacy
-                    // (C + Cᵀ)·Z element order — coefficient c_ij + c_ji,
-                    // zero-skip, ascending latent dim. Interleaving the
-                    // walk with the sweep leaves both addition orders
-                    // untouched.
-                    let (tt_cols, tt_vals) = (tt.row_indices(i), tt.row_values(i));
-                    let coeff_at = |t: Option<f64>, sig: f64| match t {
-                        Some(t) => gs * (pos_weight * t * (sig - 1.0) + (1.0 - t) * sig),
-                        None => gs * sig,
-                    };
-                    let (mut pa, mut pb) = (0usize, 0usize);
-                    for j in 0..n {
-                        let (sp, sig) = if j >= t0 && j < t1 {
-                            let p = pair(r2, j - t0);
-                            (diag_ref[p], diag_ref[p + tw])
-                        } else if fast {
-                            (sp_row[j], sig_row[j])
-                        } else {
-                            softplus_sigmoid(s_row[j])
-                        };
-                        *acc += sp;
-                        let t_ij = (pa < t_cols.len() && t_cols[pa] == j).then(|| {
-                            pa += 1;
-                            t_vals[pa - 1]
-                        });
-                        let t_ji = (pb < tt_cols.len() && tt_cols[pb] == j).then(|| {
-                            pb += 1;
-                            tt_vals[pb - 1]
-                        });
-                        let coeff = coeff_at(t_ij, sig) + coeff_at(t_ji, sig);
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        let zj = z.row(j);
-                        for (o, &b) in dz_row.iter_mut().zip(zj.iter()) {
-                            *o += coeff * b;
-                        }
-                    }
-                } else {
-                    let off_block = |j: usize| if fast { sp_row[j] } else { softplus(s_row[j]) };
-                    for j in 0..t0 {
-                        *acc += off_block(j);
-                    }
-                    for c2 in 0..tw {
-                        *acc += diag_ref[pair(r2, c2)];
-                    }
-                    for j in t1..n {
-                        *acc += off_block(j);
-                    }
-                }
-                // Positive-entry corrections, in CSR order — the legacy
-                // forward's second per-row loop. In-block logits below the
-                // diagonal come from the mirrored panel entry.
-                for (&j, &t) in t_cols.iter().zip(t_vals) {
-                    let v = if j >= t0 && j < i {
-                        panel_ref[(j - t0) * n + i]
-                    } else {
-                        s_row[j]
-                    };
-                    *acc += pos_weight * t * softplus_of(-v) - t * softplus_of(v);
-                }
-            };
-
-            let chunk_lo = t0 / REDUCE_CHUNK;
-            let chunk_hi = chunk_lo + tw.div_ceil(REDUCE_CHUNK);
-            let parts_tile = &mut partials[chunk_lo..chunk_hi];
-            let dz_tile = dz.as_mut().map(|m| &mut m.as_mut_slice()[t0 * d..t1 * d]);
-            match dz_tile {
-                // d == 0 leaves nothing to accumulate (and would give the
-                // zip a zero-width chunk); fall through to the loss sweep.
-                Some(dz_tile) if d > 0 => rgae_par::par_zip_chunks_mut(
-                    dz_tile,
-                    REDUCE_CHUNK * d,
-                    parts_tile,
-                    1,
-                    |ci, dz_stripe, part| {
-                        let row0 = t0 + ci * REDUCE_CHUNK;
-                        let mut acc = 0.0;
-                        let mut buf = scratch();
-                        for r in 0..dz_stripe.len() / d {
-                            let dz_row = Some(&mut dz_stripe[r * d..(r + 1) * d]);
-                            sweep_row(row0 + r, dz_row, &mut acc, &mut buf);
-                        }
-                        part[0] = acc;
-                    },
-                ),
-                _ => rgae_par::par_chunks_mut(parts_tile, 1, |ci, part| {
-                    let row0 = t0 + ci * REDUCE_CHUNK;
-                    let mut acc = 0.0;
-                    let mut buf = scratch();
-                    for r in 0..REDUCE_CHUNK.min(t1 - row0) {
-                        sweep_row(row0 + r, None, &mut acc, &mut buf);
-                    }
-                    part[0] = acc;
-                }),
-            }
+        match dz.as_mut() {
+            // d == 0 leaves nothing to accumulate (and would give the zip
+            // a zero-width chunk); fall through to the loss sweep.
+            Some(dz) if d > 0 => rgae_par::par_zip_chunks_mut(
+                dz.as_mut_slice(),
+                REDUCE_CHUNK * d,
+                &mut partials,
+                1,
+                |ci, dz_stripe, part| part[0] = kernel.chunk(ci, Some(dz_stripe)),
+            ),
+            _ => rgae_par::par_chunks_mut(&mut partials, 1, |ci, part| {
+                part[0] = kernel.chunk(ci, None);
+            }),
         }
-
         // Fold the chunk partials in order — the par_sum_by tail.
         let total: f64 = partials.iter().sum();
         Ok(FusedGramBce {
@@ -579,79 +649,50 @@ pub fn fast_exact_bound(
     FastExactBound { loss, dz }
 }
 
-/// Tiled fold over the rows of the virtual Gram matrix `S = Z·Zᵀ`: calls
-/// `f(i, s_row)` for every row `i` with the materialised row `s_iⱼ =
-/// z_iᵀz_j` and returns the ordered sum of the per-row results (256-row
-/// chunk partials folded in chunk order — thread-count invariant). Peak
-/// scratch is one B×N panel; no dense N×N allocation.
+/// Row-streaming fold over the rows of the virtual Gram matrix `S = Z·Zᵀ`:
+/// calls `f(i, s_row)` for every row `i` with the materialised row `s_iⱼ =
+/// z_iᵀz_j` (the bits of `Mat::gram`) and returns the ordered sum of the
+/// per-row results (256-row chunk partials folded in chunk order — thread-
+/// count invariant). Scratch is one row buffer per task plus `Zᵀ`; no
+/// dense N×N allocation.
 pub fn gram_row_fold(z: &Mat, f: impl Fn(usize, &[f64]) -> f64 + Sync) -> f64 {
     let n = z.rows();
-    if n == 0 {
-        return 0.0;
-    }
-    let tile = effective_tile(n);
-    let n_chunks = n.div_ceil(REDUCE_CHUNK);
-    let mut partials = vec![0.0f64; n_chunks];
-    let mut panel = vec![0.0f64; tile * n];
-    for tile_start in (0..n).step_by(tile) {
-        let tile_rows = tile.min(n - tile_start);
-        let part_view = rgae_par::RawMut::new(&mut partials);
-        rgae_par::par_chunks_mut(
-            &mut panel[..tile_rows * n],
-            REDUCE_CHUNK * n,
-            |ci, stripe| {
-                let row0 = tile_start + ci * REDUCE_CHUNK;
-                fill_panel(z, row0, stripe);
-                let mut acc = 0.0;
-                for (r, s_row) in stripe.chunks_mut(n).enumerate() {
-                    let i = row0 + r;
-                    acc += f(i, s_row);
-                }
-                // SAFETY: one task per reduce chunk.
-                unsafe { part_view.write(row0 / REDUCE_CHUNK, acc) };
-            },
-        );
-    }
+    let rows = GramRows::new(z, SimdLevel::detected());
+    let mut partials = vec![0.0f64; n.div_ceil(REDUCE_CHUNK)];
+    rgae_par::par_chunks_mut(&mut partials, 1, |ci, part| {
+        let mut buf = rows.buffer();
+        let row0 = ci * REDUCE_CHUNK;
+        let mut acc = 0.0;
+        for i in row0..(row0 + REDUCE_CHUNK).min(n) {
+            acc += f(i, rows.fill(i, &mut buf));
+        }
+        part[0] = acc;
+    });
     partials.iter().sum()
 }
 
-/// Tiled map over the rows of the virtual Gram matrix: calls
+/// Row-streaming map over the rows of the virtual Gram matrix: calls
 /// `f(i, s_row, out_row)` for every row with `out_row` the `i`-th row of a
 /// fresh `n×out_cols` matrix. Rows are written disjointly, each by exactly
 /// one task, so the output bits are thread-count invariant as long as `f`
 /// itself is deterministic per row.
 pub fn gram_row_map(z: &Mat, out_cols: usize, f: impl Fn(usize, &[f64], &mut [f64]) + Sync) -> Mat {
-    let n = z.rows();
-    let mut out = Mat::zeros(n, out_cols);
-    if n == 0 {
+    let mut out = Mat::zeros(z.rows(), out_cols);
+    if out_cols == 0 {
+        gram_row_fold(z, |i, s_row| {
+            f(i, s_row, &mut []);
+            0.0
+        });
         return out;
     }
-    let tile = effective_tile(n);
-    let mut panel = vec![0.0f64; tile * n];
-    for tile_start in (0..n).step_by(tile) {
-        let tile_rows = tile.min(n - tile_start);
-        let out_tile = &mut out.as_mut_slice()[tile_start * out_cols..];
-        let out_tile = &mut out_tile[..tile_rows * out_cols];
-        rgae_par::par_zip_chunks_mut(
-            &mut panel[..tile_rows * n],
-            REDUCE_CHUNK * n,
-            out_tile,
-            REDUCE_CHUNK * out_cols.max(1),
-            |ci, stripe, out_stripe| {
-                let row0 = tile_start + ci * REDUCE_CHUNK;
-                fill_panel(z, row0, stripe);
-                for (r, s_row) in stripe.chunks_mut(n).enumerate() {
-                    let i = row0 + r;
-                    let out_row = if out_cols == 0 {
-                        &mut [] as &mut [f64]
-                    } else {
-                        &mut out_stripe[r * out_cols..(r + 1) * out_cols]
-                    };
-                    f(i, s_row, out_row);
-                }
-            },
-        );
-    }
+    let rows = GramRows::new(z, SimdLevel::detected());
+    rgae_par::par_chunks_mut(out.as_mut_slice(), REDUCE_CHUNK * out_cols, |ci, stripe| {
+        let mut buf = rows.buffer();
+        for (r, out_row) in stripe.chunks_mut(out_cols).enumerate() {
+            let i = ci * REDUCE_CHUNK + r;
+            f(i, rows.fill(i, &mut buf), out_row);
+        }
+    });
     out
 }
 
@@ -832,15 +873,14 @@ mod tests {
     }
 
     #[test]
-    fn panel_bytes_reports_tile_width() {
-        set_decoder_tile(Some(512));
-        // B×N panel plus the 2·B² diagonal-block transcendental cache.
-        assert_eq!(
-            fused_panel_bytes(10_000),
-            (512 * 10_000 + 2 * 512 * 512) * 8
-        );
-        // Small n clamps to its own rounded row count.
-        assert_eq!(fused_panel_bytes(100), (256 * 100 + 2 * 256 * 256) * 8);
-        set_decoder_tile(None);
+    fn scratch_bytes_are_linear_in_n() {
+        // Four padded row buffers per running task plus the blocked Zᵀ.
+        let one = rgae_par::with_threads(1, || fused_scratch_bytes(10_000, 16));
+        assert_eq!(one, (4 * 10_016 + 10_016 * 16) * 8);
+        let two = rgae_par::with_threads(2, || fused_scratch_bytes(10_000, 16));
+        assert_eq!(two, (2 * 4 * 10_016 + 10_016 * 16) * 8);
+        // One reduce chunk runs one task, whatever the thread count.
+        let small = rgae_par::with_threads(8, || fused_scratch_bytes(100, 3));
+        assert_eq!(small, (4 * 128 + 128 * 3) * 8);
     }
 }

@@ -24,8 +24,8 @@ mod rng;
 
 pub use csr::{Csr, Triplet};
 pub use decoder::{
-    decoder_tile, fast_exact_bound, fused_panel_bytes, gram_bce_fused, gram_row_fold, gram_row_map,
-    set_decoder_tile, FastExactBound, FusedGramBce, DEFAULT_DECODER_TILE,
+    fast_exact_bound, fused_scratch_bytes, gram_bce_fused, gram_bce_fused_with, gram_row_fold,
+    gram_row_map, set_decoder_tile, FastExactBound, FusedGramBce, DEFAULT_DECODER_TILE,
 };
 pub use mat::Mat;
 pub use numerics::DecoderNumerics;

@@ -173,7 +173,7 @@ pub fn softplus_sigmoid_fast(x: f64) -> (f64, f64) {
 /// The batch loop every entry compiles: slicing to one length lets the
 /// compiler drop the bounds checks and vectorise.
 #[inline(always)]
-fn batch_body(x: &[f64], sp: &mut [f64], sig: &mut [f64]) {
+pub(crate) fn batch_body(x: &[f64], sp: &mut [f64], sig: &mut [f64]) {
     let n = x.len();
     let (sp, sig) = (&mut sp[..n], &mut sig[..n]);
     for i in 0..n {

@@ -1,6 +1,8 @@
 //! Fast decoder numerics: the SIMD entries equal the portable entry bit for
-//! bit, the fast kernel's bits are invariant to thread count and tile size,
-//! and fast − exact stays within [`rgae_linalg::fast_exact_bound`], the
+//! bit (both the transcendental batch and the whole row-streaming kernel, in
+//! both numerics modes), the fast kernel's bits are invariant to thread
+//! count and tile size, and fast − exact stays within
+//! [`rgae_linalg::fast_exact_bound`], the
 //! bound derived on [`rgae_linalg::gram_bce_fused`] from the error analysis
 //! in [`rgae_linalg::numerics`].
 
@@ -8,8 +10,8 @@ use rgae_linalg::numerics::{
     softplus_sigmoid_batch, softplus_sigmoid_batch_with, softplus_sigmoid_fast, SimdLevel,
 };
 use rgae_linalg::{
-    fast_exact_bound, gram_bce_fused, set_decoder_tile, standard_normal, Csr, DecoderNumerics, Mat,
-    Rng64,
+    fast_exact_bound, gram_bce_fused, gram_bce_fused_with, set_decoder_tile, standard_normal, Csr,
+    DecoderNumerics, Mat, Rng64,
 };
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
@@ -124,6 +126,68 @@ fn fast(z: &Mat, t: &Csr, grad: bool) -> (u64, Vec<u64>) {
         out.loss.to_bits(),
         out.dz.map(|m| bits(m.as_slice())).unwrap_or_default(),
     )
+}
+
+/// Targets of three kinds for an `n`-node instance: empty, full (every
+/// entry, self-loops included), and asymmetric (a sparse random pattern
+/// with weights in [0.5, 2], whose transpose differs).
+fn targets(seed: u64, n: usize) -> Vec<(&'static str, Csr)> {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let full: Vec<_> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j, 1.0)))
+        .collect();
+    let mut asym = Vec::new();
+    for i in 0..n {
+        for j in 0..n {
+            if rng.bernoulli(0.15) {
+                asym.push((i, j, rng.uniform_in(0.5, 2.0)));
+            }
+        }
+    }
+    vec![
+        ("empty", Csr::zeros(n, n)),
+        ("full", Csr::from_triplets(n, n, &full).unwrap()),
+        ("asymmetric", Csr::from_triplets(n, n, &asym).unwrap()),
+    ]
+}
+
+#[test]
+fn every_simd_entry_and_thread_count_gives_the_same_bits() {
+    let levels = SimdLevel::available();
+    assert_eq!(levels[0], SimdLevel::Portable);
+    // n = 3 is below every lane width, 45 and 257 are not multiples of one
+    // (257 also spans two reduce chunks); d covers no latent lanes, a
+    // lone tail lane, a short tail, one full 16-lane group and 16 + 1.
+    for &n in &[3usize, 45, 257] {
+        for &d in &[0usize, 1, 5, 16, 17] {
+            let z =
+                standard_normal(n, d, &mut Rng64::seed_from_u64((n * 31 + d) as u64)).scale(1.5);
+            for (kind, t) in targets(n as u64 + 7, n) {
+                for numerics in [DecoderNumerics::Fast, DecoderNumerics::Exact] {
+                    for grad in [true, false] {
+                        let gs = grad.then_some(0.7 / (n * n) as f64);
+                        let run = |level| {
+                            let out =
+                                gram_bce_fused_with(level, &z, &t, 3.0, 0.7, gs, numerics).unwrap();
+                            (out.loss.to_bits(), out.dz.map(|m| bits(m.as_slice())))
+                        };
+                        let want = rgae_par::with_threads(1, || run(SimdLevel::Portable));
+                        assert_eq!(want.1.is_some(), grad);
+                        for &level in &levels {
+                            for threads in [1, 2, 3] {
+                                let got = rgae_par::with_threads(threads, || run(level));
+                                assert_eq!(
+                                    got, want,
+                                    "n={n} d={d} {kind} {numerics:?} grad={grad} \
+                                     {level:?} threads={threads}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

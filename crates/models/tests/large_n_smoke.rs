@@ -1,11 +1,12 @@
-//! Large-N smoke test for the tiled fused decoder.
+//! Large-N smoke test for the row-streaming fused decoder.
 //!
 //! At N = 6000 the legacy dense decoder needs three live N×N buffers in its
 //! backward (logits, BCE gradient, transpose) — ~864 MB of transient f64 —
-//! which OOMs or crawls on a CI runner. The fused tiled kernel holds one
-//! B×N panel plus the N×d gradient accumulator (tens of MB), so a full
-//! train step completes comfortably. Run with `--ignored` (CI does, in
-//! release); it is too heavy for the default `cargo test` sweep.
+//! which OOMs or crawls on a CI runner. The fused kernel holds a few row
+//! buffers per running task plus one copy of Zᵀ (well under a megabyte per
+//! thread), so a full train step completes comfortably. Run with
+//! `--ignored` (CI does, in release); it is too heavy for the default
+//! `cargo test` sweep.
 
 use std::rc::Rc;
 
@@ -14,6 +15,8 @@ use rgae_linalg::{Mat, Rng64};
 use rgae_models::{ComposedModel, GaeModel, StepSpec, TrainData};
 
 const N: usize = 6000;
+/// The GAE's latent width (`z.cols()`, checked after training).
+const LATENT: usize = 16;
 
 fn big_graph() -> AttributedGraph {
     let mut rng = Rng64::seed_from_u64(9);
@@ -34,13 +37,14 @@ fn big_graph() -> AttributedGraph {
 #[test]
 #[ignore = "heavy: N=6000 full train steps; CI runs it in release"]
 fn fused_decoder_trains_at_n_6000() {
-    // The dense gram alone would be N²×8 bytes; the fused panel is a small
-    // fixed multiple of N. Assert the memory claim before spending time.
-    let panel = rgae_linalg::fused_panel_bytes(N);
+    // The dense gram alone would be N²×8 bytes; the fused decoder's scratch
+    // is O(N): at most 64 f64 row buffers' worth plus Zᵀ (N·d f64). Assert
+    // the memory claim before spending time.
+    let scratch = rgae_linalg::fused_scratch_bytes(N, LATENT);
+    let bound = 64 * N * 8 + N * LATENT * 8;
     assert!(
-        panel * 4 < N * N * 8,
-        "tiled panel ({panel} B) must be far below a dense gram ({} B)",
-        N * N * 8
+        scratch <= bound,
+        "decoder scratch ({scratch} B) must stay within O(N) ({bound} B)"
     );
 
     let graph = big_graph();
@@ -61,6 +65,6 @@ fn fused_decoder_trains_at_n_6000() {
         "training must make progress: {losses:?}"
     );
     let z: Mat = model.embed(&data);
-    assert_eq!(z.rows(), N);
+    assert_eq!(z.shape(), (N, LATENT));
     assert!(z.as_slice().iter().all(|v| v.is_finite()));
 }

@@ -56,7 +56,10 @@ impl Recorder for JsonlSink {
             _ => {}
         }
         self.write_line(event);
-        if matches!(event, Event::RunEnd(_)) {
+        // Every finished epoch reaches the file at once, so the log shows
+        // how far a run got even if the process is killed (one write per
+        // epoch, negligible next to the epoch itself).
+        if matches!(event, Event::Epoch(_) | Event::RunEnd(_)) {
             self.flush();
         }
     }

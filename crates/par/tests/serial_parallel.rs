@@ -161,9 +161,8 @@ proptest! {
         let run = || {
             let mut g = rgae_autodiff::Graph::new();
             let z = g.leaf(z0.clone());
-            let logits = g.gram(z);
-            let loss = g
-                .bce_logits_sparse(logits, &std::rc::Rc::new(adj.clone()), 3.0, 0.7)
+            let logits = rgae_autodiff::reference::gram(&mut g, z);
+            let loss = rgae_autodiff::reference::bce_logits_sparse(&mut g, logits, &std::rc::Rc::new(adj.clone()), 3.0, 0.7)
                 .expect("shapes agree");
             g.backward(loss).expect("scalar root");
             let lv = g.value(loss).as_slice()[0];
@@ -192,8 +191,8 @@ proptest! {
         let legacy = || {
             let mut g = rgae_autodiff::Graph::new();
             let z = g.leaf(z0.clone());
-            let s = g.gram(z);
-            let loss = g.bce_logits_sparse(s, &adj, 3.0, 0.7).expect("shapes agree");
+            let s = rgae_autodiff::reference::gram(&mut g, z);
+            let loss = rgae_autodiff::reference::bce_logits_sparse(&mut g, s, &adj, 3.0, 0.7).expect("shapes agree");
             g.backward(loss).expect("scalar root");
             (g.value(loss).as_slice()[0], g.grad(z).expect("leaf grad").clone())
         };
@@ -233,8 +232,8 @@ proptest! {
                 g.gram_bce_logits_sparse(z, &adj, 3.0, 0.7, DecoderNumerics::Exact)
                     .expect("shapes agree")
             } else {
-                let s = g.gram(z);
-                g.bce_logits_sparse(s, &adj, 3.0, 0.7).expect("shapes agree")
+                let s = rgae_autodiff::reference::gram(&mut g, z);
+                rgae_autodiff::reference::bce_logits_sparse(&mut g, s, &adj, 3.0, 0.7).expect("shapes agree")
             };
             let loss = g.scale(recon, gamma);
             g.backward(loss).expect("scalar root");

@@ -1,6 +1,6 @@
 //! Decoder bench: times the legacy three-pass chain (`mat_gram` →
 //! `bce_sparse_fwd` → `bce_sparse_bwd` → gram-backward `mat_matmul`) and the
-//! tiled one-pass gram+BCE kernel under exact and fast numerics on the
+//! row-streaming one-pass gram+BCE kernel under exact and fast numerics on the
 //! cora-like preset. It asserts that exact equals legacy bit for bit and
 //! that fast − exact stays within `rgae_linalg::fast_exact_bound`, and
 //! writes `BENCH_decoder.json` at the workspace root (kernel seconds plus
@@ -8,12 +8,12 @@
 //!
 //! Run with `cargo bench -p rgae-xp --bench bench_decoder`. Knob:
 //! `BENCH_DECODER_SCALE` (cora-like size multiplier, default 1.0). The
-//! fused kernel runs at the default tile height (`rgae_linalg::decoder_tile`).
+//! fused kernel runs through the widest SIMD entry the CPU has.
 
 use std::rc::Rc;
 use std::time::Instant;
 
-use rgae_autodiff::Graph;
+use rgae_autodiff::{reference, Graph};
 use rgae_datasets::presets::cora_like;
 use rgae_linalg::{Csr, DecoderNumerics, Mat, Rng64};
 use rgae_models::TrainData;
@@ -31,8 +31,8 @@ const LEGACY_KERNELS: [&str; 4] = ["mat_gram", "bce_sparse_fwd", "bce_sparse_bwd
 fn legacy_round(z: &Mat, t: &Rc<Csr>, pw: f64, norm: f64) -> (u64, Vec<u64>) {
     let mut g = Graph::new();
     let zv = g.leaf(z.clone());
-    let s = g.gram(zv);
-    let loss = g.bce_logits_sparse(s, t, pw, norm).unwrap();
+    let s = reference::gram(&mut g, zv);
+    let loss = reference::bce_logits_sparse(&mut g, s, t, pw, norm).unwrap();
     g.backward(loss).unwrap();
     (
         g.scalar(loss).to_bits(),
@@ -141,11 +141,11 @@ fn main() {
 
     // Peak transient decoder memory: the legacy backward holds the logits,
     // the BCE gradient, and its transpose as live N×N buffers; the fused
-    // kernel holds one B×N panel plus the N×d gradient accumulator (fast
-    // numerics add a 2N row scratch per sweep task).
+    // kernel holds a few row buffers per task and Zᵀ (the same in both
+    // numerics modes) plus the N×d gradient accumulator.
     let legacy_bytes = 3 * n * n * 8;
-    let exact_bytes = rgae_linalg::fused_panel_bytes(n) + n * LATENT_DIM * 8;
-    let fast_bytes = exact_bytes + 2 * n * 8 * rgae_par::threads();
+    let exact_bytes = rgae_linalg::fused_scratch_bytes(n, LATENT_DIM) + n * LATENT_DIM * 8;
+    let fast_bytes = exact_bytes;
 
     let (legacy_out, exact_out, fast_out) = (legacy_round(&z, &t, pw, norm), exact(&z), fast(&z));
     let identical = legacy_out == exact_out;
@@ -163,10 +163,6 @@ fn main() {
         ("num_nodes".into(), Json::Int(n as i64)),
         ("latent_dim".into(), Json::Int(LATENT_DIM as i64)),
         ("timed_rounds".into(), Json::Int(TIMED_ROUNDS as i64)),
-        (
-            "decoder_tile".into(),
-            Json::Int(rgae_linalg::decoder_tile() as i64),
-        ),
         (
             "simd".into(),
             Json::Str(format!(

@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rgae_autodiff::Graph;
+use rgae_autodiff::{reference, Graph};
 use rgae_linalg::{Csr, DecoderNumerics, Rng64};
 
 fn bench_gemm(c: &mut Criterion) {
@@ -78,8 +78,8 @@ fn bench_bce_forward_backward(c: &mut Criterion) {
             bch.iter(|| {
                 let mut g = Graph::new();
                 let zv = g.leaf(z.clone());
-                let s = g.gram(zv);
-                let loss = g.bce_logits_sparse(s, &t, 10.0, 0.5).unwrap();
+                let s = reference::gram(&mut g, zv);
+                let loss = reference::bce_logits_sparse(&mut g, s, &t, 10.0, 0.5).unwrap();
                 g.backward(loss).unwrap();
                 g.grad(zv).unwrap().frob_norm()
             })

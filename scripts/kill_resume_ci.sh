@@ -4,16 +4,21 @@
 # Usage: scripts/kill_resume_ci.sh [BINARY]   (default: fig9)
 #
 # 1. Run a quick BINARY experiment uninterrupted (the reference).
-# 2. Run the same experiment with checkpointing on and SIGKILL it partway.
-# 3. Rerun with --resume, which restores the latest checkpoint.
-# 4. Diff the per-epoch losses and final metrics of every run in the JSONL
+# 2. Run the same experiment with checkpointing on, watch its JSONL run
+#    log, and SIGKILL it once a set number of `epoch` events have landed:
+#    the middle epoch of the run that holds the reference's 40% mark.
+# 3. Fail unless the kill interrupted that run: the process must still have
+#    been running, and the killed log must not hold that run's `run_end`
+#    (otherwise the resume below would only fast-forward a finished run).
+# 4. Rerun with --resume, which restores the latest checkpoint.
+# 5. Diff the per-epoch losses and final metrics of every run in the JSONL
 #    run logs: the resumed runs must be bit-identical to the reference.
 #
-# Timing-only fields (train_seconds, span events, run_id) are excluded from
-# the diff; everything numeric about the training trajectory is compared
-# exactly, as printed. If the kill happens to land after the run finished,
-# --resume fast-forwards from the final checkpoint and replays the full
-# event log, so the diff still must pass.
+# The kill is keyed to training progress, not wall time, so it lands
+# mid-run however fast the machine or the binary is. Timing-only fields
+# (train_seconds, span events, run_id) are excluded from the diff;
+# everything numeric about the training trajectory is compared exactly, as
+# printed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,26 +32,62 @@ BIN=target/release/$NAME
 COMMON=(--quick --seed 5)
 
 echo "== reference run (uninterrupted) =="
-start=$(date +%s%N)
 "$BIN" "${COMMON[@]}" --out "$WORK/ref" --trace-out "$WORK/ref.jsonl" > /dev/null
-elapsed_ms=$(( ($(date +%s%N) - start) / 1000000 ))
-echo "reference took ${elapsed_ms}ms"
 
-# Kill the checkpointed run at ~40% of the reference wall time so it dies
-# mid-training (floor of 1s keeps `timeout` happy on very fast machines).
-kill_after_ms=$(( elapsed_ms * 2 / 5 ))
-[ "$kill_after_ms" -lt 1000 ] && kill_after_ms=1000
+# Pick the kill point from the reference log: the run holding the 40%
+# epoch mark, the epoch events logged up to that run's middle epoch, and
+# the runs that end before it.
+read -r KILL_AT RUNS_BEFORE < <(python3 - "$WORK/ref.jsonl" <<'EOF'
+import json, sys
+
+runs, open_run = [], None
+with open(sys.argv[1]) as fh:
+    for line in fh:
+        kind = json.loads(line)["type"]
+        if kind == "run_start":
+            open_run = 0
+        elif kind == "epoch":
+            assert open_run is not None, "epoch event outside a run"
+            open_run += 1
+        elif kind == "run_end":
+            runs.append(open_run)
+            open_run = None
+total = sum(runs)
+assert total >= 2, f"reference logged only {total} epochs"
+mark, before = total * 2 // 5, 0
+for r, epochs in enumerate(runs):
+    if before + epochs > mark:
+        break
+    before += epochs
+print(before + max(1, epochs // 2), r)
+EOF
+)
 CKPT=(--checkpoint-dir "$WORK/ckpt" --checkpoint-every 3)
 
-kill_after=$(printf '%d.%03ds' $(( kill_after_ms / 1000 )) $(( kill_after_ms % 1000 )))
-
-echo "== checkpointed run, killed after ${kill_after} =="
-if timeout -s KILL "$kill_after" \
-    "$BIN" "${COMMON[@]}" "${CKPT[@]}" --out "$WORK/int" --trace-out "$WORK/int.jsonl" > /dev/null; then
-  echo "(run finished before the kill; resume will fast-forward)"
-else
-  echo "(killed as intended)"
+echo "== checkpointed run, killed at ${KILL_AT} logged epochs (in run $((RUNS_BEFORE + 1))) =="
+"$BIN" "${COMMON[@]}" "${CKPT[@]}" --out "$WORK/int" --trace-out "$WORK/int.jsonl" > /dev/null &
+PID=$!
+while kill -0 "$PID" 2> /dev/null; do
+  landed=$(grep -c '"type":"epoch"' "$WORK/int.jsonl" 2> /dev/null || true)
+  if [ "${landed:-0}" -ge "$KILL_AT" ]; then
+    kill -KILL "$PID" 2> /dev/null || true
+    break
+  fi
+  sleep 0.005
+done
+status=0
+wait "$PID" || status=$?
+if [ "$status" -ne 137 ]; then
+  echo "FAIL: the checkpointed run exited with status $status before the kill" >&2
+  exit 1
 fi
+ended=$(grep -c '"type":"run_end"' "$WORK/int.jsonl" || true)
+if [ "${ended:-0}" -gt "$RUNS_BEFORE" ]; then
+  echo "FAIL: the kill landed after run $((RUNS_BEFORE + 1)) finished" \
+    "(${ended} run_end events logged); resume would only fast-forward it" >&2
+  exit 1
+fi
+echo "(killed mid-run after $(grep -c '"type":"epoch"' "$WORK/int.jsonl") logged epochs)"
 
 echo "== resumed run =="
 "$BIN" "${COMMON[@]}" "${CKPT[@]}" --resume \
